@@ -18,6 +18,7 @@ parse error, 2 numerical/domain failure.  Diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -95,10 +96,17 @@ def _parse_vector_arg(text: str) -> np.ndarray:
     body = text[1:-1].strip()
     if not body:
         raise argparse.ArgumentTypeError("vector must not be empty")
+    return np.array([_finite_float(tok) for tok in body.split(",")], dtype=np.float64)
+
+
+def _finite_float(text: str) -> float:
     try:
-        return np.array([float(tok) for tok in body.split(",")], dtype=np.float64)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}") from None
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text.strip()!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text.strip()!r}")
+    return x
 
 
 def _read_program(path: str):
@@ -119,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_taylor.add_argument("--program", required=True)
     p_taylor.add_argument("--at", required=True, type=_parse_vector_arg)
     p_taylor.add_argument("--order", required=True, type=int)
-    p_taylor.add_argument("--h", required=True, type=float, dest="step")
+    p_taylor.add_argument("--h", required=True, type=_finite_float, dest="step")
     p_taylor.add_argument("--dir", required=True, type=_parse_vector_arg, dest="direction")
 
     p_chain = sub.add_parser("compose-modes", help="tower of a chain of programs")
@@ -139,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_it = sub.add_parser("iterate", help="fractional iteration near a fixed point")
     p_it.add_argument("--program", required=True)
-    p_it.add_argument("--seed", required=True, type=float)
-    p_it.add_argument("--x", required=True, type=float)
-    p_it.add_argument("--at", required=True, type=float)
+    p_it.add_argument("--seed", required=True, type=_finite_float)
+    p_it.add_argument("--x", required=True, type=_finite_float)
+    p_it.add_argument("--at", required=True, type=_finite_float)
     p_it.add_argument("--order", required=True, type=int)
 
     sub.add_parser("selftest", help="run built-in oracle checks")

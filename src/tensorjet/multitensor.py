@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
 
 import numpy as np
 
@@ -218,7 +218,13 @@ def algebra_product(
 
 
 def symmetrize(w: MultiTensor) -> MultiTensor:
-    """Average every component over permutations of its tensor slots."""
+    """Symmetrize every component over permutations of its tensor slots.
+
+    Each orbit of slot-permuted entries is replaced by its mean (orbit sums
+    over sorted-index representatives), so every component of the result is
+    exactly symmetric and symmetrizing it again is a bitwise no-op.  The
+    result differs from the j!-permutation average by rounding only.
+    """
     return MultiTensor(w.shape, [_symmetrize_component(c) for c in w.components])
 
 
@@ -268,25 +274,46 @@ def _as_vector(v, dim: int, what: str) -> np.ndarray:
 
 
 def _symmetrize_component(comp: np.ndarray) -> np.ndarray:
+    """Symmetrize one component over its tensor slots by orbit sums.
+
+    The entries whose slot indices are permutations of one another form an
+    orbit, represented by the sorted index tuple.  Each orbit's entries are
+    summed (in C order) and divided by the orbit size, and every entry takes
+    its orbit's mean, so the output is exactly symmetric.  It equals the
+    average over all j! slot permutations up to rounding.  An input that is
+    already exactly symmetric comes back as a bitwise copy, so a second pass
+    is a bitwise no-op.  The result is always a new array.
+    """
     j = comp.ndim - 1
     if j < 2:
         return comp.copy()
-    transposed = [
-        np.transpose(comp, (0,) + perm) for perm in permutations(range(1, j + 1))
-    ]
-    if all(np.array_equal(t, comp) for t in transposed[1:]):
+    rep, orbit, sizes = _orbit_index(comp.shape[1], j)
+    flat = comp.reshape(comp.shape[0], -1)
+    if np.array_equal(flat, flat[:, rep]):
         return comp.copy()
-    acc = transposed[0].copy()
-    for t in transposed[1:]:
-        acc += t
-    acc /= math.factorial(j)
-    # Pin each slot orbit to its representative entry: the output is then
-    # exactly symmetric, and a second pass is a bitwise no-op.
-    out = np.empty_like(acc)
-    for idx in np.ndindex(comp.shape[1:]):
-        rep = tuple(sorted(idx))
-        out[(slice(None),) + idx] = acc[(slice(None),) + rep]
-    return out
+    means = np.empty((flat.shape[0], sizes.size))
+    for i, row in enumerate(flat):
+        means[i] = np.bincount(orbit, weights=row, minlength=sizes.size)
+    means /= sizes
+    return means[:, orbit].reshape(comp.shape)
+
+
+@lru_cache(maxsize=None)
+def _orbit_index(dim_in: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot-permutation orbits of the flat index space ``(dim_in,)*j``.
+
+    Returns, per flat index, the flat index of its sorted representative
+    and a dense orbit id, plus the size of every orbit.  Only integer index
+    data is cached, never tensor values.
+    """
+    dims = (dim_in,) * j
+    slots = np.indices(dims).reshape(j, -1)
+    slots.sort(axis=0)
+    rep = np.ravel_multi_index(tuple(slots), dims)
+    _, orbit, sizes = np.unique(rep, return_inverse=True, return_counts=True)
+    for arr in (rep, orbit, sizes):
+        arr.flags.writeable = False
+    return rep, orbit, sizes
 
 
 def _pair_product(ap: np.ndarray, bq: np.ndarray, bilinear: np.ndarray | None) -> np.ndarray:

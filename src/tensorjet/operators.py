@@ -11,6 +11,15 @@ partition (the higher-order chain rule).  ``forward_chain``/``reverse_chain``
 fold that combination over a pipeline of programs from either end; both
 directions produce the tower of the full composite.
 
+An elementwise outer stage has a dense tower that is zero off its diagonal,
+so ``Compose(Elementwise(f), inner)`` towers use the diagonal form of the
+same rule (the univariate Faa di Bruno formula; Griewank, Utke & Walther,
+Math. Comp. 69, 2000).  Row i of component n is the sum over partitions
+lambda of n of ``w_lambda * f^(|lambda|)(inner_i) * g[lambda_1]_i (x)
+g[lambda_2]_i (x) ...``, where g is the inner tower, multiplied in the
+order of the dense contraction, so both paths give the same bits without
+the dense d^(n+1) outer tensor ever being formed.
+
 ``order_reduce`` reinterprets a tower one order down, turning the derivative
 itself into a program value: the first tensor slot of each component is
 fused into the output index, so component j+1 of the original becomes
@@ -128,22 +137,56 @@ def compose_towers(
             "base point mismatch: outer tower expanded at "
             f"{outer.at}, inner evaluates to {mid}"
         )
-    k = outer.order
     f = outer.tower.components
     g = inner.tower.components
-    d_out = outer.tower.dim_out
-    d_in = inner.tower.dim_in
-    comps = [f[0].copy()]
+
+    def term(lam):
+        t = f[len(lam)]
+        for part in lam:
+            t = np.tensordot(t, g[part], axes=([1], [0]))
+        return t
+
+    tower = _chain_rule(f[0], inner.tower, term)
+    return DerivativeTower(at=inner.at, tower=tower)
+
+
+def _compose_elementwise(fvals: np.ndarray, inner: DerivativeTower) -> DerivativeTower:
+    """Tower of ``Elementwise(fn) . inner`` by the diagonal chain rule.
+
+    ``fvals[r, i]`` is the r-th derivative of ``fn`` at ``inner.value[i]``,
+    for r = 0..inner.order.  Row i of component n sums, over the integer
+    partitions of n, ``w * ((fvals[m, i] * g_l1[i]) (x) g_l2[i] (x) ...)``
+    with m the number of parts, without forming the dense outer tower.  The
+    products run in the order of the dense contraction in
+    :func:`compose_towers`, so the result is bitwise the same.
+    """
+    g = inner.tower.components
+    d = inner.tower.dim_out
+
+    def term(lam):
+        t = fvals[len(lam)][:, None] * g[lam[0]].reshape(d, -1)
+        for part in lam[1:]:
+            t = (t[:, :, None] * g[part].reshape(d, 1, -1)).reshape(d, -1)
+        return t.reshape((d,) + (inner.tower.dim_in,) * sum(lam))
+
+    tower = _chain_rule(fvals[0], inner.tower, term)
+    return DerivativeTower(at=inner.at, tower=tower)
+
+
+def _chain_rule(value: np.ndarray, inner: MultiTensor, term) -> MultiTensor:
+    """Tower over ``inner``'s input and order: ``value``, then partition sums.
+
+    Component n sums ``partition_weight(lam) * term(lam)`` over the integer
+    partitions of n and is symmetrized.
+    """
+    d_out, d_in, k = value.shape[0], inner.dim_in, inner.order
+    comps = [value]
     for n in range(1, k + 1):
         acc = np.zeros((d_out,) + (d_in,) * n)
         for lam in partitions(n):
-            term = f[len(lam)]
-            for part in lam:
-                term = np.tensordot(term, g[part], axes=([1], [0]))
-            acc += partition_weight(lam) * term
+            acc += partition_weight(lam) * term(lam)
         comps.append(_symmetrize_component(acc))
-    tower = MultiTensor(Shape(d_out, d_in, k), comps)
-    return DerivativeTower(at=inner.at, tower=tower)
+    return MultiTensor(Shape(d_out, d_in, k), comps)
 
 
 def forward_chain(programs, v0, order: int) -> DerivativeTower:

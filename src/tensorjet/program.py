@@ -28,7 +28,6 @@ from .multitensor import (
     Shape,
     ShapeMismatchError,
     algebra_product,
-    scale,
     symmetrize,
 )
 
@@ -523,6 +522,14 @@ def _apply_prim(prim: Primitive, j: int, x: float, path: str) -> float:
         ) from None
 
 
+def _prim_derivatives(prim: Primitive, v: np.ndarray, k: int, path: str) -> np.ndarray:
+    """``out[r, i]`` is the r-th derivative of ``prim`` at ``v[i]``, r = 0..k."""
+    return np.array(
+        [[_apply_prim(prim, r, x, path) for x in v] for r in range(k + 1)],
+        dtype=np.float64,
+    )
+
+
 # --- derivative towers ------------------------------------------------------
 
 def _tower(p: Program, v: np.ndarray, k: int, path: str) -> MultiTensor:
@@ -551,11 +558,10 @@ def _tower(p: Program, v: np.ndarray, k: int, path: str) -> MultiTensor:
 
     if isinstance(p, Elementwise):
         d = p.dim
+        fvals = _prim_derivatives(p.fn, v, k, path)
         comps = [np.zeros((d,) + (d,) * r) for r in range(k + 1)]
         for r in range(k + 1):
-            vals = [_apply_prim(p.fn, r, x, path) for x in v]
-            idx = (np.arange(d),) * (r + 1)
-            comps[r][idx] = vals
+            comps[r][(np.arange(d),) * (r + 1)] = fvals[r]
         return MultiTensor(Shape(d, d, k), comps)
 
     if isinstance(p, Sum):
@@ -580,9 +586,13 @@ def _tower(p: Program, v: np.ndarray, k: int, path: str) -> MultiTensor:
         return _from_series_scaling(acc)
 
     if isinstance(p, Compose):
-        from .operators import compose_towers
+        from .operators import _compose_elementwise, compose_towers
 
         inner = DerivativeTower(at=v, tower=_tower(p.inner, v, k, path + "/compose.inner"))
+        if isinstance(p.outer, Elementwise):
+            # Diagonal chain rule: the dense outer tower is zero off its diagonal.
+            fvals = _prim_derivatives(p.outer.fn, inner.value, k, path + "/compose.outer")
+            return _compose_elementwise(fvals, inner).tower
         outer = DerivativeTower(
             at=inner.value,
             tower=_tower(p.outer, inner.value, k, path + "/compose.outer"),

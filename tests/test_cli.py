@@ -189,6 +189,34 @@ class TestExitCodes:
         )
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (("tau", "--at", "[nan]", "--order", "2"), "--at", "finite"),
+            (("tau", "--at", "[0.5,inf]", "--order", "2"), "--at", "finite"),
+            (("taylor", "--at", "[0]", "--order", "2", "--h", "inf", "--dir", "[1]"),
+             "--h", "finite"),
+            (("taylor", "--at", "[0]", "--order", "2", "--h", "0.1", "--dir", "[-inf]"),
+             "--dir", "finite"),
+            (("iterate", "--seed", "nan", "--x", "0.5", "--at", "0.1", "--order", "2"),
+             "--seed", "finite"),
+            (("iterate", "--seed", "0", "--x", "inf", "--at", "0.1", "--order", "2"),
+             "--x", "finite"),
+            (("iterate", "--seed", "0", "--x", "0.5", "--at=-inf", "--order", "2"),
+             "--at", "finite"),
+            (("iterate", "--seed", "zero", "--x", "0.5", "--at", "0.1", "--order", "2"),
+             "--seed", "not a number"),
+        ],
+    )
+    def test_non_finite_argument_is_usage_error(self, capsys, exp_file, argv, flag, text):
+        argv = (argv[0], "--program", exp_file) + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err and text in captured.err
+
     def test_domain_failure_is_numeric_error(self, capsys, tmp_path):
         f = tmp_path / "log.sexp"
         f.write_text("(elem log)")

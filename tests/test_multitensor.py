@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tensorjet.multitensor import (
     truncate,
     zero,
 )
+from tensorjet.multitensor import _symmetrize_component
 
 from _gen import random_multitensor
 
@@ -252,6 +254,71 @@ class TestSymmetrize:
         w = mt(1, 1, [[1.0], [2.0], [3.0]])
         out = truncate(w, 0)
         assert out.order == 0 and out.value[0] == 1.0
+
+
+def _permutation_average(comp):
+    """Reference: explicit average over all j! slot permutations."""
+    j = comp.ndim - 1
+    acc = np.zeros_like(comp)
+    for perm in permutations(range(1, j + 1)):
+        acc += np.transpose(comp, (0,) + perm)
+    return acc / math.factorial(j)
+
+
+def _random_components(seed):
+    rng = np.random.default_rng(seed)
+    for dim_out in (1, 2, 3):
+        for dim_in in (1, 2, 3, 4):
+            for j in (2, 3, 4, 5):
+                yield rng.standard_normal((dim_out,) + (dim_in,) * j)
+
+
+class TestOrbitSumKernel:
+    def test_matches_permutation_average(self):
+        for comp in _random_components(11):
+            out = _symmetrize_component(comp)
+            scale = float(np.max(np.abs(comp)))
+            np.testing.assert_allclose(
+                out, _permutation_average(comp), rtol=1e-14, atol=1e-14 * scale
+            )
+
+    def test_every_slot_transposition_is_bitwise_equal(self):
+        for comp in _random_components(12):
+            out = _symmetrize_component(comp)
+            j = comp.ndim - 1
+            for a in range(1, j + 1):
+                for b in range(a + 1, j + 1):
+                    axes = list(range(j + 1))
+                    axes[a], axes[b] = axes[b], axes[a]
+                    assert np.transpose(out, axes).tobytes() == out.tobytes()
+
+    def test_second_pass_is_a_bitwise_copy(self):
+        for comp in _random_components(13):
+            once = _symmetrize_component(comp)
+            twice = _symmetrize_component(once)
+            assert twice.tobytes() == once.tobytes()
+            assert twice is not once and not np.shares_memory(twice, once)
+
+    def test_symmetric_input_is_returned_unchanged(self):
+        for comp in _random_components(14):
+            sym = _permutation_average(comp)
+            sym = _symmetrize_component(sym)  # pin rounding: exactly symmetric now
+            assert _symmetrize_component(sym).tobytes() == sym.tobytes()
+        diag = np.zeros((2, 3, 3, 3))
+        for i in range(3):
+            diag[:, i, i, i] = [1.5, -2.0]
+        assert _symmetrize_component(diag).tobytes() == diag.tobytes()
+
+    def test_signed_zeros_and_huge_magnitudes(self):
+        rng = np.random.default_rng(15)
+        comp = rng.choice([-1e300, 1e300, -0.0, 0.0], size=(2, 3, 3, 3, 3))
+        out = _symmetrize_component(comp)
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out, np.transpose(out, (0, 2, 1, 4, 3)))
+        assert np.array_equal(out, np.transpose(out, (0, 4, 3, 2, 1)))
+        assert np.array_equal(_symmetrize_component(out), out)
+        zeros = np.full((1, 2, 2, 2), -0.0)
+        assert np.array_equal(_symmetrize_component(zeros), zeros)
 
 
 class TestJson:

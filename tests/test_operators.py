@@ -6,6 +6,7 @@ import pytest
 from tensorjet import (
     Affine,
     Compose,
+    DomainEvalError,
     Elementwise,
     Identity,
     MultiTensor,
@@ -20,6 +21,7 @@ from tensorjet import (
     integer_power,
     partition_weight,
     partitions,
+    primitive_library,
     reverse_chain,
     order_reduce,
     series_eval,
@@ -183,6 +185,81 @@ class TestComposeTowers:
             composite = Compose(f, g)
             assert rel_gap(got.component(1), fd_jacobian(composite, v)) < 1e-6
             assert rel_gap(got.component(2), fd_hessian(composite, v)) < 1e-4
+
+
+def _bitwise_equal(a, b):
+    return len(a.components) == len(b.components) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(a.components, b.components)
+    )
+
+
+DIAGONAL_PRIMS = sorted(primitive_library()) + ["pow3"]
+
+
+class TestDiagonalChainRule:
+    @staticmethod
+    def _cases(name, seed):
+        """Random (inner program, point, order) triples, d 1-4 and order 1-6."""
+        rng = np.random.default_rng(seed)
+        for case in range(12):
+            d = 1 + case % 4
+            k = 1 + case % 6
+            inner = random_program(rng, d, d, 2)
+            if name in ("log", "reciprocal"):  # keep the intermediate positive
+                inner = Compose(Elementwise(get_primitive("exp"), d), inner)
+            yield inner, rng.uniform(-0.6, 0.6, size=d), k
+
+    @pytest.mark.parametrize("name", DIAGONAL_PRIMS)
+    def test_bitwise_equal_to_dense_outer_tower(self, name):
+        prim = get_primitive(name)
+        for inner, v, k in self._cases(name, 41):
+            d = inner.dim_out
+            outer = Elementwise(prim, d)
+            got = derivative_tower(Compose(outer, inner), v, k)
+            inner_tower = derivative_tower(inner, v, k)
+            dense = compose_towers(
+                derivative_tower(outer, inner_tower.value, k), inner_tower
+            )
+            assert _bitwise_equal(got.tower, dense.tower)
+            assert all(np.all(np.isfinite(c)) for c in got.tower.components)
+
+    @pytest.mark.parametrize("name", DIAGONAL_PRIMS)
+    def test_raising_the_order_keeps_lower_components(self, name):
+        prim = get_primitive(name)
+        for inner, v, k in self._cases(name, 42):
+            p = Compose(Elementwise(prim, inner.dim_out), inner)
+            low = derivative_tower(p, v, k).tower
+            high = derivative_tower(p, v, k + 1).tower
+            assert _bitwise_equal(truncate(high, k), low)
+
+    def test_domain_error_names_the_outer_node(self):
+        p = Compose(Elementwise(get_primitive("log")), Affine([[1.0]], [-2.0]))
+        with pytest.raises(DomainEvalError, match="/compose.outer"):
+            derivative_tower(p, [0.5], 3)
+
+    def test_exp_of_affine_at_order_12(self):
+        a, b, x = 0.7, -0.2, 0.4
+        p = Compose(Elementwise(get_primitive("exp")), Affine([[a]], [b]))
+        t = derivative_tower(p, [x], 12)
+        want = math.exp(a * x + b)
+        for j, comp in enumerate(t.tower.components):
+            assert comp.ravel()[0] == pytest.approx(a**j * want, rel=1e-13)
+
+    def test_thirty_fold_sine_chain_at_order_12(self):
+        p = Identity(1)
+        for _ in range(30):
+            p = Compose(Elementwise(get_primitive("sin")), p)
+        x = 0.3
+        t = derivative_tower(p, [x], 12).tower
+        assert all(np.all(np.isfinite(c)) for c in t.components)
+        assert _bitwise_equal(truncate(t, 11), derivative_tower(p, [x], 11).tower)
+        slope = 1.0
+        for _ in range(30):
+            slope *= math.cos(x)
+            x = math.sin(x)
+        assert t.components[0][0] == pytest.approx(x, rel=1e-14)
+        assert t.components[1][0, 0] == pytest.approx(slope, rel=1e-13)
 
 
 class TestChains:
