@@ -101,6 +101,7 @@ def _gen_partitions(n: int, max_part: int):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
 def partition_weight(partition: tuple[int, ...]) -> int:
     """Number of ways to split n ordered slots into blocks of these sizes.
 

@@ -12,6 +12,11 @@ children's towers using only its own local derivative rule (closed forms for
 affine/polynomial layers, per-order derivative sequences for elementwise
 primitives, a Leibniz product expansion, and partition-sum composition), so
 requesting a higher order never changes the lower-order components.
+
+Both entry points run one walk over the DAG with an explicit stack, so there
+is no limit on its depth beyond memory.  A subprogram shared by several
+parents is computed once per call for each point and order it is needed at;
+when it fails, the error names the path by which the walk first reached it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import GeneratorType
 from typing import Callable
 
 import numpy as np
@@ -28,6 +34,7 @@ from .multitensor import (
     Shape,
     ShapeMismatchError,
     algebra_product,
+    eval_polynomial,
     symmetrize,
 )
 
@@ -62,13 +69,14 @@ class Primitive:
 
 
 class Program:
-    """Base class for DAG nodes.  Immutable; evaluation is pure."""
+    """Base class for DAG nodes.  Immutable; evaluation is pure.
+
+    Every node sets its ``signature`` once, when it is built, so reading it
+    (and ``dim_in``/``dim_out``) never walks the subtree.
+    """
 
     __slots__ = ()
-
-    @property
-    def signature(self) -> ProgramSignature:
-        raise NotImplementedError
+    signature: ProgramSignature
 
     @property
     def dim_in(self) -> int:
@@ -79,13 +87,17 @@ class Program:
         return self.signature.dim_out
 
 
+def _set_signature(p: Program, sig: ProgramSignature):
+    # frozen dataclasses refuse plain attribute assignment
+    object.__setattr__(p, "signature", sig)
+
+
 @dataclass(frozen=True)
 class Identity(Program):
     dim: int = 1
 
-    @property
-    def signature(self):
-        return ProgramSignature(self.dim, self.dim)
+    def __post_init__(self):
+        _set_signature(self, ProgramSignature(self.dim, self.dim))
 
 
 @dataclass(frozen=True)
@@ -95,16 +107,13 @@ class Constant(Program):
 
     def __post_init__(self):
         object.__setattr__(self, "value", tuple(float(x) for x in self.value))
-
-    @property
-    def signature(self):
-        return ProgramSignature(self.input_dim, len(self.value))
+        _set_signature(self, ProgramSignature(self.input_dim, len(self.value)))
 
 
 class Affine(Program):
     """v -> A v + b."""
 
-    __slots__ = ("matrix", "offset")
+    __slots__ = ("matrix", "offset", "signature")
 
     def __init__(self, matrix, offset):
         matrix = np.array(matrix, dtype=np.float64)
@@ -119,10 +128,7 @@ class Affine(Program):
         offset.flags.writeable = False
         self.matrix = matrix
         self.offset = offset
-
-    @property
-    def signature(self):
-        return ProgramSignature(self.matrix.shape[1], self.matrix.shape[0])
+        self.signature = ProgramSignature(matrix.shape[1], matrix.shape[0])
 
     def __repr__(self):
         return f"Affine({self.matrix.shape[0]}x{self.matrix.shape[1]})"
@@ -134,9 +140,10 @@ class ContractionLayer(Program):
 
     weights: MultiTensor
 
-    @property
-    def signature(self):
-        return ProgramSignature(self.weights.dim_in, self.weights.dim_out)
+    def __post_init__(self):
+        _set_signature(
+            self, ProgramSignature(self.weights.dim_in, self.weights.dim_out)
+        )
 
 
 @dataclass(frozen=True)
@@ -144,9 +151,8 @@ class Elementwise(Program):
     fn: Primitive
     dim: int = 1
 
-    @property
-    def signature(self):
-        return ProgramSignature(self.dim, self.dim)
+    def __post_init__(self):
+        _set_signature(self, ProgramSignature(self.dim, self.dim))
 
 
 @dataclass(frozen=True)
@@ -163,16 +169,13 @@ class Sum(Program):
                 raise ShapeMismatchError(
                     f"Sum children disagree: {sig} vs {child.signature}"
                 )
-
-    @property
-    def signature(self):
-        return self.children[0].signature
+        _set_signature(self, sig)
 
 
 class Product(Program):
     """Pointwise bilinear combination of children, componentwise by default."""
 
-    __slots__ = ("children", "bilinear")
+    __slots__ = ("children", "bilinear", "signature")
 
     def __init__(self, children, bilinear: np.ndarray | None = None):
         children = tuple(children)
@@ -189,6 +192,7 @@ class Product(Program):
                     raise ShapeMismatchError(
                         "componentwise Product needs equal output dims"
                     )
+            self.signature = children[0].signature
         else:
             bilinear = np.array(bilinear, dtype=np.float64)
             if len(children) != 2:
@@ -201,14 +205,9 @@ class Product(Program):
                     f"bilinear map shape {bilinear.shape} does not fit children"
                 )
             bilinear.flags.writeable = False
+            self.signature = ProgramSignature(dim_in, bilinear.shape[0])
         self.children = children
         self.bilinear = bilinear
-
-    @property
-    def signature(self):
-        if self.bilinear is not None:
-            return ProgramSignature(self.children[0].dim_in, self.bilinear.shape[0])
-        return self.children[0].signature
 
     def __repr__(self):
         return f"Product(arity={len(self.children)})"
@@ -227,10 +226,7 @@ class Compose(Program):
                 f"cannot compose: inner yields dim {self.inner.dim_out}, "
                 f"outer expects dim {self.outer.dim_in}"
             )
-
-    @property
-    def signature(self):
-        return ProgramSignature(self.inner.dim_in, self.outer.dim_out)
+        _set_signature(self, ProgramSignature(self.inner.dim_in, self.outer.dim_out))
 
 
 @dataclass(frozen=True)
@@ -248,11 +244,10 @@ class ExtractedDerivative(Program):
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("derivative order k must be >= 1")
-
-    @property
-    def signature(self):
         sig = self.inner.signature
-        return ProgramSignature(sig.dim_in, sig.dim_out * sig.dim_in**self.k)
+        _set_signature(
+            self, ProgramSignature(sig.dim_in, sig.dim_out * sig.dim_in**self.k)
+        )
 
 
 @dataclass(frozen=True)
@@ -286,7 +281,7 @@ def evaluate(program: Program, v) -> np.ndarray:
         raise ShapeMismatchError(
             f"input must have shape ({program.dim_in},), got {v.shape}"
         )
-    return _eval(program, v, "")
+    return _walk(program, v, None)
 
 
 def derivative_tower(program: Program, v, order: int) -> DerivativeTower:
@@ -298,8 +293,7 @@ def derivative_tower(program: Program, v, order: int) -> DerivativeTower:
         raise ShapeMismatchError(
             f"input must have shape ({program.dim_in},), got {v.shape}"
         )
-    tower = _tower(program, v, order, "")
-    return DerivativeTower(at=v, tower=tower)
+    return DerivativeTower(at=v, tower=_walk(program, v, order))
 
 
 def tensor_network(layers) -> Program:
@@ -432,85 +426,6 @@ def get_primitive(name: str) -> Primitive:
     raise KeyError(f"unknown primitive {name!r}")
 
 
-# --- evaluation -------------------------------------------------------------
-
-def _eval(p: Program, v: np.ndarray, path: str) -> np.ndarray:
-    if isinstance(p, Identity):
-        return v.copy()
-    if isinstance(p, Constant):
-        return np.array(p.value)
-    if isinstance(p, Affine):
-        return p.matrix @ v + p.offset
-    if isinstance(p, ContractionLayer):
-        from .multitensor import eval_polynomial
-
-        return eval_polynomial(p.weights, v)
-    if isinstance(p, Elementwise):
-        return np.array(
-            [_apply_prim(p.fn, 0, x, path) for x in v], dtype=np.float64
-        )
-    if isinstance(p, Sum):
-        out = _eval(p.children[0], v, path + "/sum[0]")
-        for i, child in enumerate(p.children[1:], start=1):
-            out = out + _eval(child, v, f"{path}/sum[{i}]")
-        return out
-    if isinstance(p, Product):
-        vals = [
-            _eval(child, v, f"{path}/prod[{i}]") for i, child in enumerate(p.children)
-        ]
-        if p.bilinear is None:
-            out = vals[0]
-            for val in vals[1:]:
-                out = out * val
-            return out
-        return np.einsum("irs,r,s->i", p.bilinear, vals[0], vals[1])
-    if isinstance(p, Compose):
-        mid = _eval(p.inner, v, path + "/compose.inner")
-        return _eval(p.outer, mid, path + "/compose.outer")
-    if isinstance(p, ExtractedDerivative):
-        tower = _tower(p.inner, v, p.k, path + "/deriv.inner")
-        return tower.component(p.k).ravel().copy()
-    raise TypeError(f"unknown program node {type(p).__name__}")
-
-
-def structurally_equal(a: Program, b: Program) -> bool:
-    """Node-by-node equality of two program DAGs (exact parameter match)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Identity):
-        return a.dim == b.dim
-    if isinstance(a, Constant):
-        return a.value == b.value and a.input_dim == b.input_dim
-    if isinstance(a, Affine):
-        return np.array_equal(a.matrix, b.matrix) and np.array_equal(a.offset, b.offset)
-    if isinstance(a, ContractionLayer):
-        return a.weights.shape == b.weights.shape and all(
-            np.array_equal(x, y)
-            for x, y in zip(a.weights.components, b.weights.components)
-        )
-    if isinstance(a, Elementwise):
-        return a.fn.name == b.fn.name and a.dim == b.dim
-    if isinstance(a, (Sum, Product)):
-        if isinstance(a, Product):
-            both_none = a.bilinear is None and b.bilinear is None
-            if not both_none and not (
-                a.bilinear is not None
-                and b.bilinear is not None
-                and np.array_equal(a.bilinear, b.bilinear)
-            ):
-                return False
-        return len(a.children) == len(b.children) and all(
-            structurally_equal(x, y) for x, y in zip(a.children, b.children)
-        )
-    if isinstance(a, Compose):
-        return structurally_equal(a.outer, b.outer) and structurally_equal(
-            a.inner, b.inner
-        )
-    if isinstance(a, ExtractedDerivative):
-        return a.k == b.k and structurally_equal(a.inner, b.inner)
-    return False
-
-
 def _apply_prim(prim: Primitive, j: int, x: float, path: str) -> float:
     try:
         return float(prim.deriv_seq(j, float(x)))
@@ -530,86 +445,303 @@ def _prim_derivatives(prim: Primitive, v: np.ndarray, k: int, path: str) -> np.n
     )
 
 
-# --- derivative towers ------------------------------------------------------
+# --- the DAG walk -------------------------------------------------------------
+#
+# A request is ``(node, point, order, path)``: ``order`` None asks for the
+# node's value at ``point``, an integer for its derivative tower to that
+# order.  Every node type has one rule per kind of request.  A leaf rule
+# returns its result; any other rule is a generator that yields its
+# children's requests, is sent their results, and returns its own.  The
+# driver keeps the open generators on a list, so the Python stack does not
+# grow with the depth of the DAG.
 
-def _tower(p: Program, v: np.ndarray, k: int, path: str) -> MultiTensor:
-    d_in = p.dim_in
-    if isinstance(p, Identity):
-        comps = _zero_components(p.dim_out, d_in, k)
-        comps[0] = v.copy()
-        if k >= 1:
-            comps[1] = np.eye(p.dim)
-        return MultiTensor(Shape(p.dim_out, d_in, k), comps)
+def _walk(root: Program, point: np.ndarray, order: int | None):
+    """Result of ``root`` at ``point``: its value if ``order`` is None, else its tower.
 
-    if isinstance(p, Constant):
-        comps = _zero_components(p.dim_out, d_in, k)
-        comps[0] = np.array(p.value)
-        return MultiTensor(Shape(p.dim_out, d_in, k), comps)
+    Results of nodes that more than one edge reaches are kept for the call,
+    keyed by the identities of node and point and by the order, so each is
+    computed once per point and order and reports, in errors, the path by
+    which it was first reached.  An entry also holds the node and the point,
+    so neither id can be reused while the walk runs.
+    """
+    shared = _shared_nodes(root)
+    memo = {}
+    stack = [(_ask(root, point, order), None)]
+    result = None
+    while True:
+        gen, entry = stack[-1]
+        try:
+            node, at, k, path = gen.send(result)
+        except StopIteration as done:
+            result = done.value
+            stack.pop()
+            if entry is not None:
+                key, node, at = entry
+                memo[key] = (result, node, at)
+            if not stack:
+                return result
+            continue
+        # Drop the child's result now that its parent has it: a stale
+        # reference would keep a large tower alive for the rest of the walk.
+        result = None
+        entry = None
+        if id(node) in shared:
+            key = (id(node), id(at), k)
+            hit = memo.get(key)
+            if hit is not None:
+                result = hit[0]
+                continue
+            entry = (key, node, at)
+        rule = _lookup(_VALUE_RULES if k is None else _TOWER_RULES, type(node))
+        if rule is None:
+            raise TypeError(f"unknown program node {type(node).__name__}")
+        result = rule(node, at, k, path)
+        if type(result) is GeneratorType:
+            stack.append((result, entry))
+            result = None
+        elif entry is not None:
+            memo[key] = (result, node, at)
 
-    if isinstance(p, Affine):
-        comps = _zero_components(p.dim_out, d_in, k)
-        comps[0] = p.matrix @ v + p.offset
-        if k >= 1:
-            comps[1] = p.matrix.copy()
-        return MultiTensor(Shape(p.dim_out, d_in, k), comps)
 
-    if isinstance(p, ContractionLayer):
-        return _contraction_layer_tower(p.weights, v, k)
+def _ask(node, point, order):
+    return (yield node, point, order, "")
 
-    if isinstance(p, Elementwise):
-        d = p.dim
-        fvals = _prim_derivatives(p.fn, v, k, path)
-        comps = [np.zeros((d,) + (d,) * r) for r in range(k + 1)]
-        for r in range(k + 1):
-            comps[r][(np.arange(d),) * (r + 1)] = fvals[r]
-        return MultiTensor(Shape(d, d, k), comps)
 
-    if isinstance(p, Sum):
-        out = _tower(p.children[0], v, k, path + "/sum[0]")
-        for i, child in enumerate(p.children[1:], start=1):
-            nxt = _tower(child, v, k, f"{path}/sum[{i}]")
-            out = MultiTensor(
-                out.shape, [a + b for a, b in zip(out.components, nxt.components)]
-            )
-        return out
+def _lookup(table: dict, cls: type):
+    """The entry for ``cls`` or its nearest base class, else None."""
+    entry = table.get(cls)
+    if entry is None:
+        for base in cls.__mro__[1:]:
+            if base in table:
+                return table[base]
+    return entry
 
-    if isinstance(p, Product):
-        towers = [
-            _tower(child, v, k, f"{path}/prod[{i}]")
-            for i, child in enumerate(p.children)
-        ]
-        acc = _to_series_scaling(towers[0])
-        for i, t in enumerate(towers[1:]):
-            bilinear = p.bilinear if i == len(towers) - 2 else None
-            acc = algebra_product(acc, _to_series_scaling(t), bilinear, max_order=k)
-        acc = symmetrize(acc)
-        return _from_series_scaling(acc)
 
+def _children(p: Program) -> tuple[Program, ...]:
     if isinstance(p, Compose):
-        from .operators import _compose_elementwise, compose_towers
-
-        inner = DerivativeTower(at=v, tower=_tower(p.inner, v, k, path + "/compose.inner"))
-        if isinstance(p.outer, Elementwise):
-            # Diagonal chain rule: the dense outer tower is zero off its diagonal.
-            fvals = _prim_derivatives(p.outer.fn, inner.value, k, path + "/compose.outer")
-            return _compose_elementwise(fvals, inner).tower
-        outer = DerivativeTower(
-            at=inner.value,
-            tower=_tower(p.outer, inner.value, k, path + "/compose.outer"),
-        )
-        return compose_towers(outer, inner).tower
-
+        return (p.outer, p.inner)
+    if isinstance(p, (Sum, Product)):
+        return p.children
     if isinstance(p, ExtractedDerivative):
-        from .operators import order_reduce
+        return (p.inner,)
+    return ()
 
-        deep = DerivativeTower(
-            at=v, tower=_tower(p.inner, v, k + p.k, path + "/deriv.inner")
+
+def _shared_nodes(root: Program) -> set[int]:
+    """Ids of the nodes below ``root`` that more than one edge reaches."""
+    seen = {id(root)}
+    shared = set()
+    stack = [root]
+    while stack:
+        for child in _children(stack.pop()):
+            if id(child) in seen:
+                shared.add(id(child))
+            else:
+                seen.add(id(child))
+                stack.append(child)
+    return shared
+
+
+# --- values -------------------------------------------------------------------
+
+def _identity_value(p, v, k, path):
+    return v.copy()
+
+
+def _constant_value(p, v, k, path):
+    return np.array(p.value)
+
+
+def _affine_value(p, v, k, path):
+    return p.matrix @ v + p.offset
+
+
+def _layer_value(p, v, k, path):
+    return eval_polynomial(p.weights, v)
+
+
+def _elementwise_value(p, v, k, path):
+    return np.array([_apply_prim(p.fn, 0, x, path) for x in v], dtype=np.float64)
+
+
+def _sum_value(p, v, k, path):
+    out = yield p.children[0], v, None, path + "/sum[0]"
+    for i, child in enumerate(p.children[1:], start=1):
+        out = out + (yield child, v, None, f"{path}/sum[{i}]")
+    return out
+
+
+def _product_value(p, v, k, path):
+    vals = []
+    for i, child in enumerate(p.children):
+        vals.append((yield child, v, None, f"{path}/prod[{i}]"))
+    if p.bilinear is None:
+        out = vals[0]
+        for val in vals[1:]:
+            out = out * val
+        return out
+    return np.einsum("irs,r,s->i", p.bilinear, vals[0], vals[1])
+
+
+def _compose_value(p, v, k, path):
+    mid = yield p.inner, v, None, path + "/compose.inner"
+    return (yield p.outer, mid, None, path + "/compose.outer")
+
+
+def _extracted_value(p, v, k, path):
+    tower = yield p.inner, v, p.k, path + "/deriv.inner"
+    return tower.component(p.k).ravel().copy()
+
+
+# --- derivative towers ----------------------------------------------------------
+
+def _identity_tower(p, v, k, path):
+    comps = _zero_components(p.dim, p.dim, k)
+    comps[0] = v.copy()
+    if k >= 1:
+        comps[1] = np.eye(p.dim)
+    return MultiTensor(Shape(p.dim, p.dim, k), comps)
+
+
+def _constant_tower(p, v, k, path):
+    comps = _zero_components(p.dim_out, p.dim_in, k)
+    comps[0] = np.array(p.value)
+    return MultiTensor(Shape(p.dim_out, p.dim_in, k), comps)
+
+
+def _affine_tower(p, v, k, path):
+    comps = _zero_components(p.dim_out, p.dim_in, k)
+    comps[0] = p.matrix @ v + p.offset
+    if k >= 1:
+        comps[1] = p.matrix.copy()
+    return MultiTensor(Shape(p.dim_out, p.dim_in, k), comps)
+
+
+def _layer_tower(p, v, k, path):
+    return _contraction_layer_tower(p.weights, v, k)
+
+
+def _elementwise_tower(p, v, k, path):
+    d = p.dim
+    fvals = _prim_derivatives(p.fn, v, k, path)
+    comps = [np.zeros((d,) + (d,) * r) for r in range(k + 1)]
+    for r in range(k + 1):
+        comps[r][(np.arange(d),) * (r + 1)] = fvals[r]
+    return MultiTensor(Shape(d, d, k), comps)
+
+
+def _sum_tower(p, v, k, path):
+    out = yield p.children[0], v, k, path + "/sum[0]"
+    for i, child in enumerate(p.children[1:], start=1):
+        nxt = yield child, v, k, f"{path}/sum[{i}]"
+        out = MultiTensor(
+            out.shape, [a + b for a, b in zip(out.components, nxt.components)]
         )
-        for _ in range(p.k):
-            deep = order_reduce(deep)
-        return deep.tower
+    return out
 
-    raise TypeError(f"unknown program node {type(p).__name__}")
+
+def _product_tower(p, v, k, path):
+    towers = []
+    for i, child in enumerate(p.children):
+        towers.append((yield child, v, k, f"{path}/prod[{i}]"))
+    acc = _to_series_scaling(towers[0])
+    for i, t in enumerate(towers[1:]):
+        bilinear = p.bilinear if i == len(towers) - 2 else None
+        acc = algebra_product(acc, _to_series_scaling(t), bilinear, max_order=k)
+    acc = symmetrize(acc)
+    return _from_series_scaling(acc)
+
+
+def _compose_tower(p, v, k, path):
+    from .operators import _compose_elementwise, compose_towers
+
+    inner = DerivativeTower(at=v, tower=(yield p.inner, v, k, path + "/compose.inner"))
+    if isinstance(p.outer, Elementwise):
+        # Diagonal chain rule: the dense outer tower is zero off its diagonal.
+        fvals = _prim_derivatives(p.outer.fn, inner.value, k, path + "/compose.outer")
+        return _compose_elementwise(fvals, inner).tower
+    outer = DerivativeTower(
+        at=inner.value,
+        tower=(yield p.outer, inner.value, k, path + "/compose.outer"),
+    )
+    return compose_towers(outer, inner).tower
+
+
+def _extracted_tower(p, v, k, path):
+    from .operators import order_reduce
+
+    deep = DerivativeTower(at=v, tower=(yield p.inner, v, k + p.k, path + "/deriv.inner"))
+    for _ in range(p.k):
+        deep = order_reduce(deep)
+    return deep.tower
+
+
+_VALUE_RULES = {
+    Identity: _identity_value,
+    Constant: _constant_value,
+    Affine: _affine_value,
+    ContractionLayer: _layer_value,
+    Elementwise: _elementwise_value,
+    Sum: _sum_value,
+    Product: _product_value,
+    Compose: _compose_value,
+    ExtractedDerivative: _extracted_value,
+}
+
+_TOWER_RULES = {
+    Identity: _identity_tower,
+    Constant: _constant_tower,
+    Affine: _affine_tower,
+    ContractionLayer: _layer_tower,
+    Elementwise: _elementwise_tower,
+    Sum: _sum_tower,
+    Product: _product_tower,
+    Compose: _compose_tower,
+    ExtractedDerivative: _extracted_tower,
+}
+
+
+# --- structural equality --------------------------------------------------------
+
+def _same_arrays(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
+
+
+# Whether two nodes of the same type have equal parameters; children apart.
+_SAME_PARAMS = {
+    Identity: lambda a, b: a.dim == b.dim,
+    Constant: lambda a, b: a.value == b.value and a.input_dim == b.input_dim,
+    Affine: lambda a, b: _same_arrays(a.matrix, b.matrix)
+    and _same_arrays(a.offset, b.offset),
+    ContractionLayer: lambda a, b: a.weights.shape == b.weights.shape
+    and all(map(_same_arrays, a.weights.components, b.weights.components)),
+    Elementwise: lambda a, b: a.fn.name == b.fn.name and a.dim == b.dim,
+    Sum: lambda a, b: True,
+    Product: lambda a, b: _same_arrays(a.bilinear, b.bilinear),
+    Compose: lambda a, b: True,
+    ExtractedDerivative: lambda a, b: a.k == b.k,
+}
+
+
+def structurally_equal(a: Program, b: Program) -> bool:
+    """Node-by-node equality of two program DAGs (exact parameter match)."""
+    pairs = [(a, b)]
+    seen = set()
+    while pairs:
+        x, y = pairs.pop()
+        if (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        same = _lookup(_SAME_PARAMS, type(x))
+        if type(x) is not type(y) or same is None or not same(x, y):
+            return False
+        xs, ys = _children(x), _children(y)
+        if len(xs) != len(ys):
+            return False
+        pairs.extend(zip(xs, ys))
+    return True
 
 
 def _zero_components(d_out: int, d_in: int, k: int) -> list[np.ndarray]:

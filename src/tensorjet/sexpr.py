@@ -17,7 +17,8 @@ Grammar (see docs/grammar.ebnf for the full EBNF):
 ``id`` and ``(elem ...)`` have no intrinsic dimension; the parser infers it
 from context (an adjacent affine/const/layer sibling) and defaults to 1.
 Parse errors carry line/column and what was expected; the layer payload is
-the multi-tensor JSON object, embedded verbatim.
+the multi-tensor JSON object, embedded verbatim.  Expressions nest at most
+``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ from .program import (
     Sum,
     get_primitive,
 )
+
+
+# Deepest nesting of expressions that ``parse`` accepts.  Parsing and
+# dimension inference recurse once per level, and this keeps them well inside
+# Python's default recursion limit of 1000; deeper text is a parse error.
+MAX_NESTING = 400
 
 
 class SexprError(ValueError):
@@ -161,24 +168,38 @@ def parse(text: str) -> Program:
 
 def print_program(p: Program) -> str:
     """Render a Program back to its s-expression text."""
+    out = []
+    todo = [p]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            todo.extend(reversed(_print_form(item)))
+    return "".join(out)
+
+
+def _print_form(p: Program) -> list:
+    """A node's text pieces, with its children in place of their text."""
     if isinstance(p, Identity):
-        return "id"
+        return ["id"]
     if isinstance(p, Constant):
-        return f"(const {_fmt_vector(p.value)})"
+        return [f"(const {_fmt_vector(p.value)})"]
     if isinstance(p, Affine):
-        return f"(affine {_fmt_matrix(p.matrix)} {_fmt_vector(p.offset)})"
+        return [f"(affine {_fmt_matrix(p.matrix)} {_fmt_vector(p.offset)})"]
     if isinstance(p, ContractionLayer):
-        return f"(layer {multitensor.to_json(p.weights)})"
+        return [f"(layer {multitensor.to_json(p.weights)})"]
     if isinstance(p, Elementwise):
-        return f"(elem {p.fn.name})"
-    if isinstance(p, Sum):
-        return "(sum " + " ".join(print_program(c) for c in p.children) + ")"
-    if isinstance(p, Product):
-        return "(prod " + " ".join(print_program(c) for c in p.children) + ")"
+        return [f"(elem {p.fn.name})"]
+    if isinstance(p, (Sum, Product)):
+        parts = ["(sum" if isinstance(p, Sum) else "(prod"]
+        for child in p.children:
+            parts += [" ", child]
+        return parts + [")"]
     if isinstance(p, Compose):
-        return f"(compose {print_program(p.outer)} {print_program(p.inner)})"
+        return ["(compose ", p.outer, " ", p.inner, ")"]
     if isinstance(p, ExtractedDerivative):
-        return f"(deriv {print_program(p.inner)} {p.k})"
+        return ["(deriv ", p.inner, f" {p.k})"]
     raise TypeError(f"cannot print node {type(p).__name__}")
 
 
@@ -190,8 +211,10 @@ def _fmt_matrix(m) -> str:
     return "[" + ",".join(_fmt_vector(row) for row in m) + "]"
 
 
-def _parse_expr(cur: _Cursor):
+def _parse_expr(cur: _Cursor, depth: int = 1):
     cur.skip_ws()
+    if depth > MAX_NESTING:
+        cur.fail(f"program nested deeper than {MAX_NESTING} levels")
     if cur.peek() != "(":
         word_pos = cur.pos
         word = cur.word()
@@ -233,7 +256,7 @@ def _parse_expr(cur: _Cursor):
             cur.skip_ws()
             if cur.peek() == ")":
                 break
-            children.append(_parse_expr(cur))
+            children.append(_parse_expr(cur, depth + 1))
         if len(children) < 2:
             cur.fail(f"{head} needs at least two operands, got {len(children)}", head_pos)
         out = (head, children)
@@ -243,12 +266,12 @@ def _parse_expr(cur: _Cursor):
             cur.skip_ws()
             if cur.peek() == ")":
                 break
-            operands.append(_parse_expr(cur))
+            operands.append(_parse_expr(cur, depth + 1))
         if len(operands) != 2:
             cur.fail(f"compose needs exactly two operands, got {len(operands)}", head_pos)
         out = ("compose", operands[0], operands[1])
     elif head == "deriv":
-        inner = _parse_expr(cur)
+        inner = _parse_expr(cur, depth + 1)
         k = cur.number()
         if k != int(k) or k < 1:
             cur.fail(f"derivative order must be a positive integer, got {k!r}")
@@ -348,7 +371,9 @@ def _resolve(raw, in_hint: int | None, out_hint: int | None) -> Program:
             ci, co = _signature_of(child)
             dim_in = dim_in or ci
             dim_out = dim_out or co
-        children = [_resolve(c, dim_in, dim_out) for c in raw[1]]
+        children = []
+        for child in raw[1]:  # a loop, not a comprehension: one frame per level
+            children.append(_resolve(child, dim_in, dim_out))
         return Sum(children) if head == "sum" else Product(children)
     if head == "compose":
         outer_raw, inner_raw = raw[1], raw[2]

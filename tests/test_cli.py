@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tensorjet.cli import main
+from tensorjet.sexpr import MAX_NESTING
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "multitensor.schema.json").read_text()
@@ -217,6 +218,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"argument {flag}: " in captured.err and text in captured.err
 
+    def test_program_at_the_nesting_limit_runs(self, capsys, tmp_path):
+        f = tmp_path / "deep.sexp"
+        f.write_text(_sin_chain(MAX_NESTING))
+        code, out, err = run_cli(capsys, "tau", "--program", str(f), "--at", "[0.2]", "--order", "2")
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["tower"]["components"]) == 3
+
+    def test_program_past_the_nesting_limit_is_a_parse_error(self, capsys, tmp_path):
+        f = tmp_path / "deeper.sexp"
+        f.write_text(_sin_chain(MAX_NESTING + 1))
+        code, out, err = run_cli(capsys, "tau", "--program", str(f), "--at", "[0.2]", "--order", "2")
+        assert code == 1 and out == ""
+        # the first expression past the limit is the sin of the innermost compose
+        column = (MAX_NESTING - 1) * len("(compose (elem sin) ") + len("(compose ") + 1
+        assert err == (
+            f"tensorjet: parse error: 1:{column}: "
+            f"program nested deeper than {MAX_NESTING} levels\n"
+        )
+
     def test_domain_failure_is_numeric_error(self, capsys, tmp_path):
         f = tmp_path / "log.sexp"
         f.write_text("(elem log)")
@@ -225,6 +245,11 @@ class TestExitCodes:
         )
         assert code == 2 and out == ""
         assert "log" in err
+
+
+def _sin_chain(levels):
+    """Program text nested ``levels`` deep: sin composed onto an affine leaf."""
+    return "(compose (elem sin) " * (levels - 1) + "(affine [[0.5]] [0.1])" + ")" * (levels - 1)
 
 
 class TestDeterminism:

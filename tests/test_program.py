@@ -11,9 +11,11 @@ from tensorjet import (
     ContractionLayer,
     DomainEvalError,
     Elementwise,
+    ExtractedDerivative,
     Identity,
     MultiTensor,
     Product,
+    ProgramSignature,
     Shape,
     Sum,
     derivative_tower,
@@ -271,3 +273,126 @@ class TestNodeValidation:
     def test_product_needs_two_children(self):
         with pytest.raises(ValueError):
             Product((Identity(1),))
+
+
+def _cos_leaf():
+    return Compose(Elementwise(get_primitive("cos")), Affine([[0.03]], [0.01]))
+
+
+def _shared_nest(depth):
+    q = _cos_leaf()
+    for _ in range(depth):
+        q = Product([q, q])
+    return q
+
+
+def _unshared_nest(depth):
+    if depth == 0:
+        return _cos_leaf()
+    return Product([_unshared_nest(depth - 1), _unshared_nest(depth - 1)])
+
+
+def _node_at(root, path):
+    """The node an error path such as ``/compose.outer/prod[1]`` names."""
+    node = root
+    for step in path.strip("/").split("/") if path != "/" else []:
+        if step in ("compose.inner", "deriv.inner"):
+            node = node.inner
+        elif step == "compose.outer":
+            node = node.outer
+        else:
+            kind, index = step.rstrip("]").split("[")
+            assert kind == {Sum: "sum", Product: "prod"}[type(node)]
+            node = node.children[int(index)]
+    return node
+
+
+def _assert_towers_identical(a, b, v, orders=range(4)):
+    assert np.array_equal(evaluate(a, v), evaluate(b, v))
+    for k in orders:
+        ta, tb = derivative_tower(a, v, k).tower, derivative_tower(b, v, k).tower
+        assert all(np.array_equal(x, y) for x, y in zip(ta.components, tb.components))
+
+
+class TestDagWalk:
+    def test_shared_nest_matches_tree_and_computes_each_node_once(self, monkeypatch):
+        import tensorjet.program as program_module
+
+        dag, tree = _shared_nest(12), _unshared_nest(12)
+        _assert_towers_identical(dag, tree, np.array([0.4]))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return algebra_product(*args, **kwargs)
+
+        monkeypatch.setattr(program_module, "algebra_product", counting)
+        for k in range(4):
+            calls.clear()
+            derivative_tower(dag, [0.4], k)
+            assert len(calls) == 12
+
+    def test_deep_chain_matches_scalar_taylor_loop(self):
+        rng = np.random.default_rng(21)
+        names = rng.choice(["sin", "tanh"], size=2000)
+        p = Affine([[0.9]], [0.2])
+        for name in names:
+            p = Compose(Elementwise(get_primitive(str(name))), p)
+        x0 = 0.35
+        # Taylor coefficients of the chain along x0 + t, pushed stage by stage
+        c = [0.9 * x0 + 0.2, 0.9, 0.0, 0.0]
+        for name in names:
+            if name == "sin":
+                f = [math.sin(c[0]), math.cos(c[0]), -math.sin(c[0]), -math.cos(c[0])]
+            else:
+                t = math.tanh(c[0])
+                s = 1.0 - t * t
+                f = [t, s, -2.0 * t * s, s * (6.0 * t * t - 2.0)]
+            c = [
+                f[0],
+                f[1] * c[1],
+                f[1] * c[2] + f[2] / 2.0 * c[1] ** 2,
+                f[1] * c[3] + f[2] * c[1] * c[2] + f[3] / 6.0 * c[1] ** 3,
+            ]
+        want = [math.factorial(n) * cn for n, cn in enumerate(c)]
+        got = [comp.item() for comp in derivative_tower(p, [x0], 3).tower.components]
+        assert evaluate(p, [x0]).item() == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_same_node_at_several_points_matches_distinct_copies(self):
+        def build(elem):
+            return Sum([
+                Compose(elem(), Affine([[0.7]], [0.2])),
+                Compose(Sum([elem(), elem()]), Affine([[-1.3]], [0.4])),
+                elem(),
+                Product([elem(), elem()]),
+            ])
+
+        sin = get_primitive("sin")
+        shared = Elementwise(sin)
+        _assert_towers_identical(
+            build(lambda: shared), build(lambda: Elementwise(sin)), np.array([0.3])
+        )
+
+    def test_shared_domain_error_names_a_path_to_the_node(self):
+        log = Elementwise(get_primitive("log"))
+        shift = Affine([[1.0]], [-2.0])
+        p = Sum([Compose(Product([log, log]), shift), Compose(log, shift), log])
+        for run in (lambda: evaluate(p, [1.0]),
+                    *(lambda k=k: derivative_tower(p, [1.0], k) for k in range(3))):
+            with pytest.raises(DomainEvalError) as err:
+                run()
+            path, rest = str(err.value).split(": ", 1)
+            assert rest.startswith("elem(log)")
+            assert _node_at(p, path) is log
+
+    def test_signature_is_computed_once(self):
+        sin = Elementwise(get_primitive("sin"))
+        nodes = [
+            Identity(2), Constant((1.0,)), Affine([[1.0]], [0.0]), scalar_layer(1.0, 2.0),
+            sin, Sum((sin, sin)), Product((sin, sin)), Compose(sin, sin),
+            ExtractedDerivative(sin, 2),
+        ]
+        for p in nodes:
+            assert p.signature is p.signature
+        assert ExtractedDerivative(Identity(2), 2).signature == ProgramSignature(2, 8)

@@ -9,10 +9,11 @@ from tensorjet import (
     MultiTensor,
     Shape,
     evaluate,
+    get_primitive,
     structurally_equal,
     to_json,
 )
-from tensorjet.sexpr import SexprError, parse, print_program
+from tensorjet.sexpr import MAX_NESTING, SexprError, parse, print_program
 
 
 ROUND_TRIP_CASES = [
@@ -37,6 +38,29 @@ class TestRoundTrip:
         second = parse(printed)
         assert structurally_equal(first, second)
         assert print_program(second) == printed
+
+    @pytest.mark.parametrize("form", ["(compose (elem tanh) ", "(prod (elem cos) ", "(sum id "])
+    def test_round_trip_at_the_nesting_limit(self, form):
+        text = form * (MAX_NESTING - 1) + "id" + ")" * (MAX_NESTING - 1)
+        first = parse(text)
+        printed = print_program(first)
+        assert structurally_equal(first, parse(printed))
+        assert evaluate(first, [0.25]).shape == (1,)
+
+    def test_2000_deep_chain_compares_and_prints(self):
+        def chain(leaf):
+            p = leaf
+            for i in range(2000):
+                p = Compose(Elementwise(get_primitive("sin" if i % 2 else "tanh")), p)
+            return p
+
+        a = chain(Affine([[2.0]], [0.5]))
+        assert structurally_equal(a, chain(Affine([[2.0]], [0.5])))
+        assert not structurally_equal(a, chain(Affine([[2.0]], [0.25])))
+        text = print_program(a)
+        assert text.count("(compose ") == 2000
+        with pytest.raises(SexprError, match="nested deeper"):
+            parse(text)
 
     def test_layer_round_trip(self):
         w = MultiTensor(Shape(2, 2, 2), [
@@ -127,6 +151,13 @@ class TestErrors:
     def test_bad_deriv_order(self):
         with pytest.raises(SexprError, match="positive integer"):
             parse("(deriv id 0)")
+
+    def test_nesting_limit(self):
+        text = "(compose (elem sin)\n " * MAX_NESTING + "id" + ")" * MAX_NESTING
+        with pytest.raises(SexprError, match=f"nested deeper than {MAX_NESTING}") as err:
+            parse(text)
+        # the sin of the innermost compose, on its line after " (compose "
+        assert (err.value.line, err.value.column) == (MAX_NESTING, 11)
 
     def test_unterminated_json(self):
         with pytest.raises(SexprError, match="JSON"):
