@@ -13,6 +13,11 @@ affine/polynomial layers, per-order derivative sequences for elementwise
 primitives, a Leibniz product expansion, and partition-sum composition), so
 requesting a higher order never changes the lower-order components.
 
+Each node type is one slotted class whose constructor checks its arguments
+and sets the node's ``signature`` and ``children``.  Nodes compare and hash
+by identity and ``repr`` shows type and dimensions only, so none of these
+walk the DAG; ``structurally_equal`` compares two programs node by node.
+
 Both entry points run one walk over the DAG with an explicit stack, so there
 is no limit on its depth beyond memory.  A subprogram shared by several
 parents is computed once per call for each point and order it is needed at;
@@ -71,12 +76,16 @@ class Primitive:
 class Program:
     """Base class for DAG nodes.  Immutable; evaluation is pure.
 
-    Every node sets its ``signature`` once, when it is built, so reading it
-    (and ``dim_in``/``dim_out``) never walks the subtree.
+    ``children`` are the nodes this one reads, in the order the walk, the
+    printer and ``structurally_equal`` visit them.  ``signature`` is set at
+    construction, so reading ``dim_in``/``dim_out`` never walks the subtree.
     """
 
-    __slots__ = ()
-    signature: ProgramSignature
+    __slots__ = ("signature", "children")
+
+    def __init__(self, dim_in: int, dim_out: int, children: tuple = ()):
+        self.signature = ProgramSignature(dim_in, dim_out)
+        self.children = children
 
     @property
     def dim_in(self) -> int:
@@ -86,34 +95,32 @@ class Program:
     def dim_out(self) -> int:
         return self.signature.dim_out
 
-
-def _set_signature(p: Program, sig: ProgramSignature):
-    # frozen dataclasses refuse plain attribute assignment
-    object.__setattr__(p, "signature", sig)
+    def __repr__(self):
+        return f"{type(self).__name__}({self.dim_in}->{self.dim_out})"
 
 
-@dataclass(frozen=True)
 class Identity(Program):
-    dim: int = 1
+    __slots__ = ("dim",)
 
-    def __post_init__(self):
-        _set_signature(self, ProgramSignature(self.dim, self.dim))
+    def __init__(self, dim: int = 1):
+        self.dim = dim
+        super().__init__(dim, dim)
 
 
-@dataclass(frozen=True)
 class Constant(Program):
-    value: tuple[float, ...]
-    input_dim: int = 1
+    """v -> value, for inputs of dimension ``input_dim``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", tuple(float(x) for x in self.value))
-        _set_signature(self, ProgramSignature(self.input_dim, len(self.value)))
+    __slots__ = ("value",)
+
+    def __init__(self, value, input_dim: int = 1):
+        self.value = tuple(float(x) for x in value)
+        super().__init__(input_dim, len(self.value))
 
 
 class Affine(Program):
     """v -> A v + b."""
 
-    __slots__ = ("matrix", "offset", "signature")
+    __slots__ = ("matrix", "offset")
 
     def __init__(self, matrix, offset):
         matrix = np.array(matrix, dtype=np.float64)
@@ -128,71 +135,59 @@ class Affine(Program):
         offset.flags.writeable = False
         self.matrix = matrix
         self.offset = offset
-        self.signature = ProgramSignature(matrix.shape[1], matrix.shape[0])
-
-    def __repr__(self):
-        return f"Affine({self.matrix.shape[0]}x{self.matrix.shape[1]})"
+        super().__init__(matrix.shape[1], matrix.shape[0])
 
 
-@dataclass(frozen=True)
 class ContractionLayer(Program):
     """Polynomial map given by a stored multi-tensor: v -> W(v)."""
 
-    weights: MultiTensor
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        _set_signature(
-            self, ProgramSignature(self.weights.dim_in, self.weights.dim_out)
-        )
+    def __init__(self, weights: MultiTensor):
+        self.weights = weights
+        super().__init__(weights.dim_in, weights.dim_out)
 
 
-@dataclass(frozen=True)
 class Elementwise(Program):
-    fn: Primitive
-    dim: int = 1
+    __slots__ = ("fn", "dim")
 
-    def __post_init__(self):
-        _set_signature(self, ProgramSignature(self.dim, self.dim))
+    def __init__(self, fn: Primitive, dim: int = 1):
+        self.fn = fn
+        self.dim = dim
+        super().__init__(dim, dim)
 
 
-@dataclass(frozen=True)
 class Sum(Program):
-    children: tuple[Program, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
+    def __init__(self, children):
+        children = tuple(children)
+        if len(children) < 2:
             raise ValueError("Sum needs at least two children")
-        sig = self.children[0].signature
-        for child in self.children[1:]:
+        sig = children[0].signature
+        for child in children[1:]:
             if child.signature != sig:
                 raise ShapeMismatchError(
                     f"Sum children disagree: {sig} vs {child.signature}"
                 )
-        _set_signature(self, sig)
+        super().__init__(sig.dim_in, sig.dim_out, children)
 
 
 class Product(Program):
     """Pointwise bilinear combination of children, componentwise by default."""
 
-    __slots__ = ("children", "bilinear", "signature")
+    __slots__ = ("bilinear",)
 
     def __init__(self, children, bilinear: np.ndarray | None = None):
         children = tuple(children)
         if len(children) < 2:
             raise ValueError("Product needs at least two children")
-        dim_in = children[0].dim_in
-        for child in children[1:]:
-            if child.dim_in != dim_in:
-                raise ShapeMismatchError("Product children must share the input dim")
+        dim_in, dim_out = children[0].dim_in, children[0].dim_out
+        if any(child.dim_in != dim_in for child in children):
+            raise ShapeMismatchError("Product children must share the input dim")
         if bilinear is None:
-            d = children[0].dim_out
-            for child in children[1:]:
-                if child.dim_out != d:
-                    raise ShapeMismatchError(
-                        "componentwise Product needs equal output dims"
-                    )
-            self.signature = children[0].signature
+            if any(child.dim_out != dim_out for child in children):
+                raise ShapeMismatchError("componentwise Product needs equal output dims")
         else:
             bilinear = np.array(bilinear, dtype=np.float64)
             if len(children) != 2:
@@ -205,31 +200,27 @@ class Product(Program):
                     f"bilinear map shape {bilinear.shape} does not fit children"
                 )
             bilinear.flags.writeable = False
-            self.signature = ProgramSignature(dim_in, bilinear.shape[0])
-        self.children = children
+            dim_out = bilinear.shape[0]
         self.bilinear = bilinear
-
-    def __repr__(self):
-        return f"Product(arity={len(self.children)})"
+        super().__init__(dim_in, dim_out, children)
 
 
-@dataclass(frozen=True)
 class Compose(Program):
     """outer . inner (inner runs first)."""
 
-    outer: Program
-    inner: Program
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self):
-        if self.inner.dim_out != self.outer.dim_in:
+    def __init__(self, outer: Program, inner: Program):
+        if inner.dim_out != outer.dim_in:
             raise ShapeMismatchError(
-                f"cannot compose: inner yields dim {self.inner.dim_out}, "
-                f"outer expects dim {self.outer.dim_in}"
+                f"cannot compose: inner yields dim {inner.dim_out}, "
+                f"outer expects dim {outer.dim_in}"
             )
-        _set_signature(self, ProgramSignature(self.inner.dim_in, self.outer.dim_out))
+        self.outer = outer
+        self.inner = inner
+        super().__init__(inner.dim_in, outer.dim_out, (outer, inner))
 
 
-@dataclass(frozen=True)
 class ExtractedDerivative(Program):
     """The k-th derivative of ``inner`` as a program in its own right.
 
@@ -238,16 +229,14 @@ class ExtractedDerivative(Program):
     by computing deeper towers of ``inner`` and reducing order k times.
     """
 
-    inner: Program
-    k: int
+    __slots__ = ("inner", "k")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, inner: Program, k: int):
+        if k < 1:
             raise ValueError("derivative order k must be >= 1")
-        sig = self.inner.signature
-        _set_signature(
-            self, ProgramSignature(sig.dim_in, sig.dim_out * sig.dim_in**self.k)
-        )
+        self.inner = inner
+        self.k = k
+        super().__init__(inner.dim_in, inner.dim_out * inner.dim_in**k, (inner,))
 
 
 @dataclass(frozen=True)
@@ -492,10 +481,10 @@ def _walk(root: Program, point: np.ndarray, order: int | None):
                 result = hit[0]
                 continue
             entry = (key, node, at)
-        rule = _lookup(_VALUE_RULES if k is None else _TOWER_RULES, type(node))
-        if rule is None:
+        rules = _RULES.get(type(node))
+        if rules is None:
             raise TypeError(f"unknown program node {type(node).__name__}")
-        result = rule(node, at, k, path)
+        result = rules[0 if k is None else 1](node, at, k, path)
         if type(result) is GeneratorType:
             stack.append((result, entry))
             result = None
@@ -507,33 +496,13 @@ def _ask(node, point, order):
     return (yield node, point, order, "")
 
 
-def _lookup(table: dict, cls: type):
-    """The entry for ``cls`` or its nearest base class, else None."""
-    entry = table.get(cls)
-    if entry is None:
-        for base in cls.__mro__[1:]:
-            if base in table:
-                return table[base]
-    return entry
-
-
-def _children(p: Program) -> tuple[Program, ...]:
-    if isinstance(p, Compose):
-        return (p.outer, p.inner)
-    if isinstance(p, (Sum, Product)):
-        return p.children
-    if isinstance(p, ExtractedDerivative):
-        return (p.inner,)
-    return ()
-
-
 def _shared_nodes(root: Program) -> set[int]:
     """Ids of the nodes below ``root`` that more than one edge reaches."""
     seen = {id(root)}
     shared = set()
     stack = [root]
     while stack:
-        for child in _children(stack.pop()):
+        for child in stack.pop().children:
             if id(child) in seen:
                 shared.add(id(child))
             else:
@@ -676,28 +645,17 @@ def _extracted_tower(p, v, k, path):
     return deep.tower
 
 
-_VALUE_RULES = {
-    Identity: _identity_value,
-    Constant: _constant_value,
-    Affine: _affine_value,
-    ContractionLayer: _layer_value,
-    Elementwise: _elementwise_value,
-    Sum: _sum_value,
-    Product: _product_value,
-    Compose: _compose_value,
-    ExtractedDerivative: _extracted_value,
-}
-
-_TOWER_RULES = {
-    Identity: _identity_tower,
-    Constant: _constant_tower,
-    Affine: _affine_tower,
-    ContractionLayer: _layer_tower,
-    Elementwise: _elementwise_tower,
-    Sum: _sum_tower,
-    Product: _product_tower,
-    Compose: _compose_tower,
-    ExtractedDerivative: _extracted_tower,
+# Each node type's value rule and tower rule, keyed by its exact type.
+_RULES = {
+    Identity: (_identity_value, _identity_tower),
+    Constant: (_constant_value, _constant_tower),
+    Affine: (_affine_value, _affine_tower),
+    ContractionLayer: (_layer_value, _layer_tower),
+    Elementwise: (_elementwise_value, _elementwise_tower),
+    Sum: (_sum_value, _sum_tower),
+    Product: (_product_value, _product_tower),
+    Compose: (_compose_value, _compose_tower),
+    ExtractedDerivative: (_extracted_value, _extracted_tower),
 }
 
 
@@ -712,7 +670,7 @@ def _same_arrays(a, b) -> bool:
 # Whether two nodes of the same type have equal parameters; children apart.
 _SAME_PARAMS = {
     Identity: lambda a, b: a.dim == b.dim,
-    Constant: lambda a, b: a.value == b.value and a.input_dim == b.input_dim,
+    Constant: lambda a, b: a.value == b.value and a.dim_in == b.dim_in,
     Affine: lambda a, b: _same_arrays(a.matrix, b.matrix)
     and _same_arrays(a.offset, b.offset),
     ContractionLayer: lambda a, b: a.weights.shape == b.weights.shape
@@ -734,13 +692,12 @@ def structurally_equal(a: Program, b: Program) -> bool:
         if (id(x), id(y)) in seen:
             continue
         seen.add((id(x), id(y)))
-        same = _lookup(_SAME_PARAMS, type(x))
+        same = _SAME_PARAMS.get(type(x))
         if type(x) is not type(y) or same is None or not same(x, y):
             return False
-        xs, ys = _children(x), _children(y)
-        if len(xs) != len(ys):
+        if len(x.children) != len(y.children):
             return False
-        pairs.extend(zip(xs, ys))
+        pairs.extend(zip(x.children, y.children))
     return True
 
 

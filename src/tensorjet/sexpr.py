@@ -16,12 +16,17 @@ Grammar (see docs/grammar.ebnf for the full EBNF):
 
 ``id`` and ``(elem ...)`` have no intrinsic dimension; the parser infers it
 from context (an adjacent affine/const/layer sibling) and defaults to 1.
-Parse errors carry line/column and what was expected; the layer payload is
-the multi-tensor JSON object, embedded verbatim.  Expressions nest at most
-``MAX_NESTING`` deep.
+The dimensions each expression fixes by itself are computed once, as it is
+parsed.  The layer payload, the multi-tensor JSON object embedded verbatim,
+is decoded there too.  Parse errors carry line/column and what was expected;
+every number, in a payload too, must be finite.  Expressions nest at most
+``MAX_NESTING`` deep.  A bilinear ``Product`` has no text form.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 
@@ -109,14 +114,15 @@ class _Cursor:
             self.pos += 1
         token = self.text[start:self.pos]
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             self.fail(f"expected a number, found {token!r}", start)
+        if not math.isfinite(value):
+            self.fail(f"expected a finite number, found {token!r}", start)
+        return value
 
-    def json_object(self) -> str:
-        """Consume one balanced {...} blob (string-aware) and return it raw."""
-        import json
-
+    def layer_payload(self) -> multitensor.MultiTensor:
+        """Consume one balanced {...} blob (string-aware) and decode its multi-tensor."""
         self.skip_ws()
         if self.peek() != "{":
             self.fail(f"expected '{{', found {self.found()}")
@@ -137,20 +143,33 @@ class _Cursor:
             elif ch == "}":
                 depth -= 1
                 if depth == 0:
-                    self.pos += 1
-                    blob = self.text[start:self.pos]
-                    try:
-                        json.loads(blob)
-                    except json.JSONDecodeError as exc:
-                        self.fail(f"bad JSON payload: {exc.msg}", start)
-                    return blob
+                    break
             self.pos += 1
-        self.fail("unterminated JSON payload", start)
+        else:
+            self.fail("unterminated JSON payload", start)
+        self.pos += 1
+        try:
+            weights = multitensor.from_json(self.text[start:self.pos])
+        except json.JSONDecodeError as exc:
+            self.fail(f"bad JSON payload: {exc.msg}", start)
+        except KeyError as exc:
+            self.fail(f"bad layer payload: missing key {exc}", start)
+        except (TypeError, ValueError, RecursionError) as exc:
+            self.fail(f"bad layer payload: {exc}", start)
+        # from_json uses dim_in as a shape only from order 1 up, so order 0 lets a NaN through
+        if not math.isfinite(weights.dim_in) or not all(
+            np.isfinite(c).all() for c in weights.components
+        ):
+            self.fail("bad layer payload: non-finite entry", start)
+        return weights
 
 
-# Raw AST: ("id",) | ("const", vec) | ("affine", mat, vec) | ("layer", json)
-#        | ("elem", name) | ("sum", [..]) | ("prod", [..])
-#        | ("compose", a, b) | ("deriv", a, k)
+# Raw AST: (head, dim_in, dim_out, *operands).  dim_in and dim_out are the
+# dimensions the expression fixes without context, None where it fixes none.
+#   ("id", ..) | ("const", .., vec) | ("affine", .., mat, vec)
+#   | ("layer", .., MultiTensor) | ("elem", .., Primitive)
+#   | ("sum", .., [raw..]) | ("prod", .., [raw..])
+#   | ("compose", .., outer, inner) | ("deriv", .., inner, k)
 
 
 def parse(text: str) -> Program:
@@ -167,40 +186,43 @@ def parse(text: str) -> Program:
 
 
 def print_program(p: Program) -> str:
-    """Render a Program back to its s-expression text."""
+    """Render a Program back to its s-expression text (ValueError for a bilinear Product)."""
     out = []
     todo = [p]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
-        else:
-            todo.extend(reversed(_print_form(item)))
+            continue
+        form = _FORMS.get(type(item))
+        if form is None:
+            raise TypeError(f"cannot print node {type(item).__name__}")
+        head, tail = form(item)
+        out.append(head)
+        todo.append(tail)
+        for child in reversed(item.children):
+            todo += [child, " "]
     return "".join(out)
 
 
-def _print_form(p: Program) -> list:
-    """A node's text pieces, with its children in place of their text."""
-    if isinstance(p, Identity):
-        return ["id"]
-    if isinstance(p, Constant):
-        return [f"(const {_fmt_vector(p.value)})"]
-    if isinstance(p, Affine):
-        return [f"(affine {_fmt_matrix(p.matrix)} {_fmt_vector(p.offset)})"]
-    if isinstance(p, ContractionLayer):
-        return [f"(layer {multitensor.to_json(p.weights)})"]
-    if isinstance(p, Elementwise):
-        return [f"(elem {p.fn.name})"]
-    if isinstance(p, (Sum, Product)):
-        parts = ["(sum" if isinstance(p, Sum) else "(prod"]
-        for child in p.children:
-            parts += [" ", child]
-        return parts + [")"]
-    if isinstance(p, Compose):
-        return ["(compose ", p.outer, " ", p.inner, ")"]
-    if isinstance(p, ExtractedDerivative):
-        return ["(deriv ", p.inner, f" {p.k})"]
-    raise TypeError(f"cannot print node {type(p).__name__}")
+def _product_form(p: Product):
+    if p.bilinear is not None:
+        raise ValueError("a bilinear Product has no s-expression form")
+    return "(prod", ")"
+
+
+# A node's text before and after its children, which are each preceded by a space.
+_FORMS = {
+    Identity: lambda p: ("id", ""),
+    Constant: lambda p: (f"(const {_fmt_vector(p.value)}", ")"),
+    Affine: lambda p: (f"(affine {_fmt_matrix(p.matrix)} {_fmt_vector(p.offset)}", ")"),
+    ContractionLayer: lambda p: (f"(layer {multitensor.to_json(p.weights)}", ")"),
+    Elementwise: lambda p: (f"(elem {p.fn.name}", ")"),
+    Sum: lambda p: ("(sum", ")"),
+    Product: _product_form,
+    Compose: lambda p: ("(compose", ")"),
+    ExtractedDerivative: lambda p: ("(deriv", f" {p.k})"),
+}
 
 
 def _fmt_vector(v) -> str:
@@ -219,14 +241,14 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
         word_pos = cur.pos
         word = cur.word()
         if word == "id":
-            return ("id",)
+            return ("id", None, None)
         cur.fail(f"expected 'id' or '(', found {word!r}", word_pos)
     cur.expect("(")
     head_pos = cur.pos
     head = cur.word()
     if head == "const":
         vec = _parse_vector(cur)
-        out = ("const", vec)
+        out = ("const", None, len(vec), vec)
     elif head == "affine":
         mat = _parse_matrix(cur)
         vec = _parse_vector(cur)
@@ -238,44 +260,47 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
                 f"{len(mat)}-row matrix",
                 head_pos,
             )
-        out = ("affine", mat, vec)
+        out = ("affine", len(mat[0]), len(mat), mat, vec)
     elif head == "layer":
-        blob = cur.json_object()
-        out = ("layer", blob)
+        weights = cur.layer_payload()
+        out = ("layer", weights.dim_in, weights.dim_out, weights)
     elif head == "elem":
         name_pos = cur.pos
         name = cur.word()
         try:
-            get_primitive(name)
+            prim = get_primitive(name)
         except KeyError:
             cur.fail(f"unknown primitive {name!r}", name_pos)
-        out = ("elem", name)
-    elif head in ("sum", "prod"):
-        children = []
-        while True:
-            cur.skip_ws()
-            if cur.peek() == ")":
-                break
-            children.append(_parse_expr(cur, depth + 1))
-        if len(children) < 2:
-            cur.fail(f"{head} needs at least two operands, got {len(children)}", head_pos)
-        out = (head, children)
-    elif head == "compose":
+        out = ("elem", None, None, prim)
+    elif head in ("sum", "prod", "compose"):
         operands = []
         while True:
             cur.skip_ws()
             if cur.peek() == ")":
                 break
             operands.append(_parse_expr(cur, depth + 1))
-        if len(operands) != 2:
-            cur.fail(f"compose needs exactly two operands, got {len(operands)}", head_pos)
-        out = ("compose", operands[0], operands[1])
+        if head == "compose":
+            if len(operands) != 2:
+                cur.fail(f"compose needs exactly two operands, got {len(operands)}", head_pos)
+            outer, inner = operands
+            out = ("compose", inner[1], outer[2], outer, inner)
+        else:
+            if len(operands) < 2:
+                cur.fail(f"{head} needs at least two operands, got {len(operands)}", head_pos)
+            dim_in = dim_out = None
+            for child in operands:
+                dim_in = child[1] or dim_in
+                dim_out = child[2] or dim_out
+            out = (head, dim_in, dim_out, operands)
     elif head == "deriv":
         inner = _parse_expr(cur, depth + 1)
         k = cur.number()
         if k != int(k) or k < 1:
             cur.fail(f"derivative order must be a positive integer, got {k!r}")
-        out = ("deriv", inner, int(k))
+        k = int(k)
+        dim_in, dim_out = inner[1], inner[2]
+        dim_out = None if dim_in is None or dim_out is None else dim_out * dim_in**k
+        out = ("deriv", dim_in, dim_out, inner, k)
     else:
         cur.fail(
             f"unknown form {head!r}; expected one of const, affine, layer, "
@@ -314,39 +339,6 @@ def _parse_matrix(cur: _Cursor) -> list[list[float]]:
     return rows
 
 
-def _signature_of(raw) -> tuple[int | None, int | None]:
-    """(dim_in, dim_out) where known without context, else None entries."""
-    head = raw[0]
-    if head == "id":
-        return (None, None)
-    if head == "const":
-        return (None, len(raw[1]))
-    if head == "affine":
-        return (len(raw[1][0]), len(raw[1]))
-    if head == "layer":
-        w = multitensor.from_json(raw[1])
-        return (w.dim_in, w.dim_out)
-    if head == "elem":
-        return (None, None)
-    if head in ("sum", "prod"):
-        dim_in = dim_out = None
-        for child in raw[1]:
-            ci, co = _signature_of(child)
-            dim_in = dim_in if ci is None else ci
-            dim_out = dim_out if co is None else co
-        return (dim_in, dim_out)
-    if head == "compose":
-        fo = _signature_of(raw[1])[1]
-        gi = _signature_of(raw[2])[0]
-        return (gi, fo)
-    if head == "deriv":
-        ci, co = _signature_of(raw[1])
-        if ci is not None and co is not None:
-            return (ci, co * ci ** raw[2])
-        return (ci, None)
-    raise AssertionError(head)
-
-
 def _resolve(raw, in_hint: int | None, out_hint: int | None) -> Program:
     head = raw[0]
     if head == "id":
@@ -357,30 +349,27 @@ def _resolve(raw, in_hint: int | None, out_hint: int | None) -> Program:
             )
         return Identity(dim)
     if head == "const":
-        return Constant(tuple(raw[1]), input_dim=in_hint or 1)
+        return Constant(raw[3], input_dim=in_hint or 1)
     if head == "affine":
-        return Affine(raw[1], raw[2])
+        return Affine(raw[3], raw[4])
     if head == "layer":
-        return ContractionLayer(multitensor.from_json(raw[1]))
+        return ContractionLayer(raw[3])
     if head == "elem":
-        dim = in_hint or out_hint or 1
-        return Elementwise(get_primitive(raw[1]), dim=dim)
+        return Elementwise(raw[3], dim=in_hint or out_hint or 1)
     if head in ("sum", "prod"):
         dim_in, dim_out = in_hint, out_hint
-        for child in raw[1]:
-            ci, co = _signature_of(child)
-            dim_in = dim_in or ci
-            dim_out = dim_out or co
+        for child in raw[3]:
+            dim_in = dim_in or child[1]
+            dim_out = dim_out or child[2]
         children = []
-        for child in raw[1]:  # a loop, not a comprehension: one frame per level
+        for child in raw[3]:  # a loop, not a comprehension: one frame per level
             children.append(_resolve(child, dim_in, dim_out))
         return Sum(children) if head == "sum" else Product(children)
     if head == "compose":
-        outer_raw, inner_raw = raw[1], raw[2]
-        mid = _signature_of(inner_raw)[1] or _signature_of(outer_raw)[0]
-        inner = _resolve(inner_raw, in_hint, mid)
+        outer_raw, inner_raw = raw[3], raw[4]
+        inner = _resolve(inner_raw, in_hint, inner_raw[2] or outer_raw[1])
         outer = _resolve(outer_raw, inner.dim_out, out_hint)
         return Compose(outer, inner)
     if head == "deriv":
-        return ExtractedDerivative(_resolve(raw[1], in_hint, None), raw[2])
+        return ExtractedDerivative(_resolve(raw[3], in_hint, None), raw[4])
     raise AssertionError(head)

@@ -184,6 +184,21 @@ class TestExitCodes:
         assert code == 1
         assert out == "" and "parse error" in err
 
+    @pytest.mark.parametrize("text", [
+        '(layer {"dim_out": 1})',
+        '(layer {"dim_out": "a", "dim_in": 1, "order": 0, "components": [[1.0]]})',
+        '(layer {"dim_out": 1, "dim_in": 1, "order": 0, "components": [["x"]]})',
+        '(layer {"dim_out": 1, "dim_in": 1, "order": 0, "components": [[NaN]]})',
+        "(const [1e999])",
+        "(affine [[1e400]] [0.0])",
+    ])
+    def test_malformed_or_non_finite_program_text_is_a_parse_error(self, capsys, tmp_path, text):
+        f = tmp_path / "bad.sexp"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "tau", "--program", str(f), "--at", "[0]", "--order", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("tensorjet: parse error: 1:") and err.count("\n") == 1
+
     def test_missing_file_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "tau", "--program", "/nonexistent.sexp", "--at", "[0]", "--order", "1"

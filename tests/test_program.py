@@ -15,6 +15,7 @@ from tensorjet import (
     Identity,
     MultiTensor,
     Product,
+    Program,
     ProgramSignature,
     Shape,
     Sum,
@@ -23,6 +24,7 @@ from tensorjet import (
     get_primitive,
     integer_power,
     primitive_library,
+    structurally_equal,
     tensor_network,
     truncate,
 )
@@ -396,3 +398,49 @@ class TestDagWalk:
         for p in nodes:
             assert p.signature is p.signature
         assert ExtractedDerivative(Identity(2), 2).signature == ProgramSignature(2, 8)
+
+
+def _sin_tanh_chain(depth):
+    p = Affine([[0.9]], [0.2])
+    for i in range(depth):
+        p = Compose(Elementwise(get_primitive("sin" if i % 2 else "tanh")), p)
+    return p
+
+
+class TestNodes:
+    def test_deep_chain_repr_hash_and_equality_do_not_walk_it(self):
+        a, b = _sin_tanh_chain(3000), _sin_tanh_chain(3000)
+        assert repr(a) == "Compose(1->1)"
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        assert a == a and a != b
+        assert structurally_equal(a, b)
+
+    def test_every_node_exposes_its_children(self):
+        sin = Elementwise(get_primitive("sin"))
+        aff = Affine([[2.0]], [0.5])
+        cases = [
+            (Identity(2), ()), (Constant((1.0,)), ()), (aff, ()),
+            (scalar_layer(1.0, 2.0), ()), (sin, ()), (Sum((sin, aff)), (sin, aff)),
+            (Product([aff, sin, aff]), (aff, sin, aff)), (Compose(sin, aff), (sin, aff)),
+            (ExtractedDerivative(sin, 2), (sin,)),
+        ]
+        for node, children in cases:
+            assert type(node.children) is tuple and len(node.children) == len(children)
+            assert all(got is want for got, want in zip(node.children, children))
+
+    def test_invalid_signature_raises_at_construction(self):
+        with pytest.raises(ValueError, match="dimensions must be >= 1"):
+            Identity(0)
+        with pytest.raises(ValueError, match="dimensions must be >= 1"):
+            Constant(())
+
+    def test_node_type_without_rules_is_a_type_error(self):
+        class Halve(Program):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__(1, 1)
+
+        for run in (lambda p: evaluate(p, [1.0]), lambda p: derivative_tower(p, [1.0], 2)):
+            with pytest.raises(TypeError, match="unknown program node Halve"):
+                run(Compose(Halve(), Identity(1)))

@@ -7,12 +7,14 @@ from tensorjet import (
     ContractionLayer,
     Elementwise,
     MultiTensor,
+    Product,
     Shape,
     evaluate,
     get_primitive,
     structurally_equal,
     to_json,
 )
+from tensorjet import multitensor
 from tensorjet.sexpr import MAX_NESTING, SexprError, parse, print_program
 
 
@@ -73,6 +75,25 @@ class TestRoundTrip:
         assert isinstance(p, ContractionLayer)
         again = parse(print_program(p))
         assert structurally_equal(p, again)
+
+    def test_layer_payload_is_decoded_once(self, monkeypatch):
+        decoded = []
+
+        def counting(text):
+            decoded.append(text)
+            return from_json(text)
+
+        from_json = multitensor.from_json
+        monkeypatch.setattr(multitensor, "from_json", counting)
+        w = MultiTensor(Shape(1, 1, 1), [[0.5], [[2.0]]])
+        p = parse("(compose (elem sin) " * 50 + f"(layer {to_json(w)})" + ")" * 50)
+        assert len(decoded) == 1
+        assert evaluate(p, [0.0]).shape == (1,)
+
+    def test_bilinear_product_cannot_be_printed(self):
+        a, b = Affine([[1.0]], [0.0]), Affine([[2.0]], [1.0])
+        with pytest.raises(ValueError, match="bilinear"):
+            print_program(Product([a, b], bilinear=np.ones((2, 1, 1))))
 
 
 class TestDimensionInference:
@@ -158,6 +179,36 @@ class TestErrors:
             parse(text)
         # the sin of the innermost compose, on its line after " (compose "
         assert (err.value.line, err.value.column) == (MAX_NESTING, 11)
+
+    @pytest.mark.parametrize("payload, message", [
+        ('{"dim_out": 1}', "missing key 'dim_in'"),
+        ('{"dim_out": "a", "dim_in": 1, "order": 0, "components": [[1.0]]}', "not supported"),
+        ('{"dim_out": 1, "dim_in": 1, "order": 0, "components": [["x"]]}', "convert"),
+        ('{"dim_out": 1, "dim_in": 1, "order": 1, "components": [[1.0]]}', "expected 2 comp"),
+        ('{"dim_out": 1, "dim_in": 1, "order": 0, "components": [[1.0, 2.0]]}', "reshape"),
+        ('{"dim_out": 1, "dim_in": 1, "order": 0, "components": [[NaN]]}', "non-finite"),
+        ('{"dim_out": 1, "dim_in": 1, "order": 0, "components": [[-Infinity]]}', "non-finite"),
+        ('{"dim_out": 1, "dim_in": NaN, "order": 0, "components": [[1.0]]}', "non-finite"),
+        ('{"dim_out": 1, "dim_in": 1, "order": 0, "components": [[1e999]]}', "non-finite"),
+        ('{"dim_out": 1, "x": ' + "[" * 100000 + "]" * 100000 + "}", "recursion"),
+        ('{"dim_out": 1, "dim_in": 1,}', "property name"),
+    ], ids=["missing-key", "str-dim", "str-entry", "component-count", "entry-count", "nan",
+            "infinity", "nan-dim", "overflow", "deep-nesting", "bad-json"])
+    def test_malformed_layer_payload_is_an_error_at_the_payload(self, payload, message):
+        with pytest.raises(SexprError, match=f"bad (layer|JSON) payload: .*{message}") as err:
+            parse(f"(compose (elem sin)\n  (layer {payload}))")
+        assert (err.value.line, err.value.column) == (2, 10)
+
+    @pytest.mark.parametrize("text, column", [
+        ("(const [1e999])", 9),
+        ("(affine [[1e400]] [0.0])", 11),
+        ("(affine [[1.0]] [-1e309])", 18),
+        ("(deriv id 1e999)", 11),
+    ])
+    def test_non_finite_number_is_an_error_at_the_number(self, text, column):
+        with pytest.raises(SexprError, match="expected a finite number") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (1, column)
 
     def test_unterminated_json(self):
         with pytest.raises(SexprError, match="JSON"):
