@@ -12,7 +12,8 @@ Subcommands::
 Programs are given as s-expression files or ``-`` for standard input;
 vectors as bracketed comma-separated reals, e.g. ``[0.5,1.0]``.  All floats
 are printed with 17 significant digits.  Exit codes: 0 success, 1 usage or
-parse error, 2 numerical/domain failure.  Diagnostics go to stderr only.
+parse error, 2 numerical/domain failure, a non-finite result included; a
+failing run prints nothing on stdout.  Diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -20,21 +21,19 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from . import multitensor
 from .iterators import (
     FixedPointError,
-    HyperbolicityError,
-    ResonanceError,
     find_fixed_point,
     fractional_iterate,
     iterating_velocity,
     schroeder,
 )
 from .operators import forward_chain, reverse_chain, series_eval, taylor_series
-from .program import DomainEvalError, derivative_tower, evaluate
+from .program import derivative_tower, evaluate
 from .reducesum import (
     reduce_sum_apply,
     reduce_sum_closed_form,
@@ -55,7 +54,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    """``x`` at 17 significant digits; a non-finite ``x`` is a numerical failure."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise FloatingPointError(f"non-finite result: {x}")
+    return format(x, ".17g")
 
 
 def _fmt_vec(v) -> str:
@@ -110,7 +113,7 @@ def _finite_float(text: str) -> float:
 
 
 def _read_program(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return parse(text)
 
 
@@ -160,42 +163,43 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args, parser)
+        # an overflow shows up as a non-finite result, which _fmt rejects
+        with np.errstate(all="ignore"):
+            if args.command == "selftest":
+                from .selftest import run_selftest
+
+                return run_selftest()
+            lines = _dispatch(args, parser)
     except SexprError as exc:
         print(f"tensorjet: parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"tensorjet: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (
-        DomainEvalError,
-        FixedPointError,
-        HyperbolicityError,
-        ResonanceError,
-        ZeroDivisionError,
-        multitensor.ShapeMismatchError,
-        ValueError,
-    ) as exc:
+    except (ValueError, ArithmeticError, FixedPointError) as exc:
         print(f"tensorjet: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    print(*lines, sep="\n")
+    return 0
 
 
-def _dispatch(args, parser) -> int:
+def _dispatch(args, parser) -> list[str]:
+    """The stdout lines of the subcommand, all built before any is printed."""
     if args.command == "tau":
         program = _read_program(args.program)
         t = derivative_tower(program, args.at, args.order)
-        print(_json_value({"at": args.at.tolist(), "tower": _tower_dict(t.tower)}))
-        return 0
+        return [_json_value({"at": args.at.tolist(), "tower": _tower_dict(t.tower)})]
 
     if args.command == "taylor":
         program = _read_program(args.program)
         series = taylor_series(program, args.at, args.order)
         approx = series_eval(series, args.step, args.direction)
         truth = evaluate(program, args.at + args.step * args.direction)
-        print(f"series: {_fmt_vec(approx)}")
-        print(f"truth: {_fmt_vec(truth)}")
-        print(f"error: {_fmt(float(np.max(np.abs(approx - truth))))}")
-        return 0
+        return [
+            f"series: {_fmt_vec(approx)}",
+            f"truth: {_fmt_vec(truth)}",
+            f"error: {_fmt(float(np.max(np.abs(approx - truth))))}",
+        ]
 
     if args.command == "compose-modes":
         chain = [_read_program(path) for path in args.chain]
@@ -212,52 +216,36 @@ def _dispatch(args, parser) -> int:
                 for a, b in zip(fwd.tower.components, rev.tower.components)
             )
             out["max_discrepancy"] = gap
-            print(_json_value(out))
-        else:
-            tower = out.get("forward") or out.get("reverse")
-            print(_json_value({"at": args.at.tolist(), "tower": tower}))
-        return 0
+            return [_json_value(out)]
+        tower = out.get("forward") or out.get("reverse")
+        return [_json_value({"at": args.at.tolist(), "tower": tower})]
 
     if args.command == "reduce-sum":
         return _run_reduce_sum(args, parser)
 
-    if args.command == "iterate":
-        program = _read_program(args.program)
-        fixed = find_fixed_point(program, args.seed)
-        data = schroeder(program, fixed, args.order)
-        value = fractional_iterate(data, args.x, args.at)
-        print(f"iterate: {_fmt(value)}")
-        velocity = iterating_velocity(data, args.at)
-        print(f"velocity: {_fmt(velocity)}")
-        return 0
-
-    if args.command == "selftest":
-        from .selftest import run_selftest
-
-        return run_selftest()
-
-    parser.error(f"unknown command {args.command!r}")
+    program = _read_program(args.program)  # the one command left: iterate
+    fixed = find_fixed_point(program, args.seed)
+    data = schroeder(program, fixed, args.order)
+    value = fractional_iterate(data, args.x, args.at)
+    velocity = iterating_velocity(data, args.at)
+    return [f"iterate: {_fmt(value)}", f"velocity: {_fmt(velocity)}"]
 
 
-def _run_reduce_sum(args, parser) -> int:
+def _run_reduce_sum(args, parser) -> list[str]:
     if (args.m is None) == (args.program is None):
         parser.error("reduce-sum needs exactly one of --m or --program")
     if args.m is not None:
         if args.m < 0:
             parser.error("--m must be >= 0")
+        if args.velocity is not None and args.n is None:
+            parser.error("--velocity needs --n")
         poly = reduce_sum_closed_form(args.m)
-        if args.n is not None:
-            value = poly(args.n)
-            print(value.numerator if value.denominator == 1
-                  else f"{value.numerator}/{value.denominator}")
-        print(str(poly))
+        if args.n is None:
+            return [str(poly)]
+        lines = [str(poly(args.n)), str(poly)]
         if args.velocity is not None:
-            if args.n is None:
-                parser.error("--velocity needs --n")
-            dv = poly.derivative(args.velocity)(args.n)
-            print(dv.numerator if dv.denominator == 1
-                  else f"{dv.numerator}/{dv.denominator}")
-        return 0
+            lines.append(str(poly.derivative(args.velocity)(args.n)))
+        return lines
 
     for name in ("at", "direction", "order", "n"):
         if getattr(args, name) is None:
@@ -265,15 +253,15 @@ def _run_reduce_sum(args, parser) -> int:
             parser.error(f"reduce-sum with --program needs {flag}")
     program = _read_program(args.program)
     value = reduce_sum_apply(program, args.at, args.direction, args.n, args.order)
-    print(_fmt_vec(value))
+    lines = [_fmt_vec(value)]
     for poly in reduce_sum_polynomials(program, args.at, args.direction, args.order):
-        print(str(poly))
+        lines.append(str(poly))
     if args.velocity is not None:
         vel = reduction_velocity(
             program, args.at, args.direction, args.n, args.velocity, args.order
         )
-        print(_fmt_vec(vel))
-    return 0
+        lines.append(_fmt_vec(vel))
+    return lines
 
 
 if __name__ == "__main__":

@@ -420,9 +420,9 @@ def _apply_prim(prim: Primitive, j: int, x: float, path: str) -> float:
         return float(prim.deriv_seq(j, float(x)))
     except DomainEvalError as exc:
         raise DomainEvalError(f"{path or '/'}: elem({prim.name}): {exc}") from None
-    except (OverflowError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise DomainEvalError(
-            f"{path or '/'}: elem({prim.name}) failed at {x!r}: {exc}"
+            f"{path or '/'}: elem({prim.name}) failed at {float(x)!r}: {exc}"
         ) from None
 
 

@@ -122,19 +122,15 @@ class RationalPoly:
         for idx, (c, power) in enumerate(terms):
             mag = -c if c < 0 else c
             if power == 0:
-                body = _fmt_fraction(mag)
+                body = str(mag)
             else:
                 var = "n" if power == 1 else f"n^{power}"
-                body = var if mag == 1 else f"{_fmt_fraction(mag)} {var}"
+                body = var if mag == 1 else f"{mag} {var}"
             if idx == 0:
                 parts.append(f"-{body}" if c < 0 else body)
             else:
                 parts.append(f"- {body}" if c < 0 else f"+ {body}")
         return " ".join(parts)
-
-
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 @dataclass(frozen=True)

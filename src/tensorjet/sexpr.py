@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -50,6 +51,10 @@ from .program import (
 # dimension inference recurse once per level, and this keeps them well inside
 # Python's default recursion limit of 1000; deeper text is a parse error.
 MAX_NESTING = 400
+
+_SPACE = re.compile(r"\s*")  # \s is exactly str.isspace
+_WORD = re.compile(r"[\w-]*")  # \w is exactly str.isalnum plus "_"
+_JSON = json.JSONDecoder()
 
 
 class SexprError(ValueError):
@@ -78,8 +83,7 @@ class _Cursor:
         raise SexprError(message, line, column)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -97,10 +101,7 @@ class _Cursor:
     def word(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_-"
-        ):
-            self.pos += 1
+        self.pos = _WORD.match(self.text, start).end()
         if self.pos == start:
             self.fail(f"expected a symbol, found {self.found()}")
         return self.text[start:self.pos]
@@ -122,33 +123,13 @@ class _Cursor:
         return value
 
     def layer_payload(self) -> multitensor.MultiTensor:
-        """Consume one balanced {...} blob (string-aware) and decode its multi-tensor."""
+        """Consume one JSON object and decode its multi-tensor."""
         self.skip_ws()
         if self.peek() != "{":
             self.fail(f"expected '{{', found {self.found()}")
         start = self.pos
-        depth = 0
-        in_string = False
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if in_string:
-                if ch == "\\":
-                    self.pos += 1
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            self.pos += 1
-        else:
-            self.fail("unterminated JSON payload", start)
-        self.pos += 1
         try:
+            self.pos = _JSON.raw_decode(self.text, start)[1]
             weights = multitensor.from_json(self.text[start:self.pos])
         except json.JSONDecodeError as exc:
             self.fail(f"bad JSON payload: {exc.msg}", start)
@@ -156,16 +137,23 @@ class _Cursor:
             self.fail(f"bad layer payload: missing key {exc}", start)
         except (TypeError, ValueError, RecursionError) as exc:
             self.fail(f"bad layer payload: {exc}", start)
-        # from_json uses dim_in as a shape only from order 1 up, so order 0 lets a NaN through
+        # from_json uses dim_in as a shape only from order 1 up, so at order 0
+        # a NaN, 2.5 or 1.0 gets through; a JSON true passes as the integer 1
         if not math.isfinite(weights.dim_in) or not all(
             np.isfinite(c).all() for c in weights.components
         ):
             self.fail("bad layer payload: non-finite entry", start)
+        for name in ("dim_out", "dim_in", "order"):
+            value = getattr(weights.shape, name)
+            if type(value) is not int:
+                self.fail(f"bad layer payload: {name} must be an integer, got {value!r}", start)
         return weights
 
 
-# Raw AST: (head, dim_in, dim_out, *operands).  dim_in and dim_out are the
-# dimensions the expression fixes without context, None where it fixes none.
+# Raw AST: (head, dim_in, dim_out, start, *operands).  dim_in and dim_out are
+# the dimensions the expression fixes without context, None where it fixes
+# none; start is the offset of its "(" or "id", turned into a line and column
+# only for an error.
 #   ("id", ..) | ("const", .., vec) | ("affine", .., mat, vec)
 #   | ("layer", .., MultiTensor) | ("elem", .., Primitive)
 #   | ("sum", .., [raw..]) | ("prod", .., [raw..])
@@ -179,10 +167,7 @@ def parse(text: str) -> Program:
     cur.skip_ws()
     if cur.pos != len(cur.text):
         cur.fail("trailing input after program expression")
-    try:
-        return _resolve(raw, None, None)
-    except multitensor.ShapeMismatchError as exc:
-        raise SexprError(f"dimension mismatch: {exc}", 1, 1) from None
+    return _resolve(cur, raw, None, None)
 
 
 def print_program(p: Program) -> str:
@@ -237,20 +222,20 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
     cur.skip_ws()
     if depth > MAX_NESTING:
         cur.fail(f"program nested deeper than {MAX_NESTING} levels")
+    start = cur.pos
     if cur.peek() != "(":
-        word_pos = cur.pos
         word = cur.word()
         if word == "id":
-            return ("id", None, None)
-        cur.fail(f"expected 'id' or '(', found {word!r}", word_pos)
+            return ("id", None, None, start)
+        cur.fail(f"expected 'id' or '(', found {word!r}", start)
     cur.expect("(")
     head_pos = cur.pos
     head = cur.word()
     if head == "const":
         vec = _parse_vector(cur)
-        out = ("const", None, len(vec), vec)
+        out = ("const", None, len(vec), start, vec)
     elif head == "affine":
-        mat = _parse_matrix(cur)
+        mat = _parse_list(cur, _parse_vector)
         vec = _parse_vector(cur)
         if any(len(row) != len(mat[0]) for row in mat):
             cur.fail("ragged affine matrix", head_pos)
@@ -260,10 +245,10 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
                 f"{len(mat)}-row matrix",
                 head_pos,
             )
-        out = ("affine", len(mat[0]), len(mat), mat, vec)
+        out = ("affine", len(mat[0]), len(mat), start, mat, vec)
     elif head == "layer":
         weights = cur.layer_payload()
-        out = ("layer", weights.dim_in, weights.dim_out, weights)
+        out = ("layer", weights.dim_in, weights.dim_out, start, weights)
     elif head == "elem":
         name_pos = cur.pos
         name = cur.word()
@@ -271,7 +256,7 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
             prim = get_primitive(name)
         except KeyError:
             cur.fail(f"unknown primitive {name!r}", name_pos)
-        out = ("elem", None, None, prim)
+        out = ("elem", None, None, start, prim)
     elif head in ("sum", "prod", "compose"):
         operands = []
         while True:
@@ -283,7 +268,7 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
             if len(operands) != 2:
                 cur.fail(f"compose needs exactly two operands, got {len(operands)}", head_pos)
             outer, inner = operands
-            out = ("compose", inner[1], outer[2], outer, inner)
+            out = ("compose", inner[1], outer[2], start, outer, inner)
         else:
             if len(operands) < 2:
                 cur.fail(f"{head} needs at least two operands, got {len(operands)}", head_pos)
@@ -291,7 +276,7 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
             for child in operands:
                 dim_in = child[1] or dim_in
                 dim_out = child[2] or dim_out
-            out = (head, dim_in, dim_out, operands)
+            out = (head, dim_in, dim_out, start, operands)
     elif head == "deriv":
         inner = _parse_expr(cur, depth + 1)
         k = cur.number()
@@ -300,7 +285,7 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
         k = int(k)
         dim_in, dim_out = inner[1], inner[2]
         dim_out = None if dim_in is None or dim_out is None else dim_out * dim_in**k
-        out = ("deriv", dim_in, dim_out, inner, k)
+        out = ("deriv", dim_in, dim_out, start, inner, k)
     else:
         cur.fail(
             f"unknown form {head!r}; expected one of const, affine, layer, "
@@ -311,65 +296,59 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
     return out
 
 
-def _parse_vector(cur: _Cursor) -> list[float]:
+def _parse_list(cur: _Cursor, item) -> list:
+    """A "[" item ("," item)* "]" list, each item read by ``item(cur)``."""
     cur.expect("[")
-    out = [cur.number()]
-    while True:
+    out = [item(cur)]
+    cur.skip_ws()
+    while cur.peek() == ",":
+        cur.pos += 1
+        out.append(item(cur))
         cur.skip_ws()
-        if cur.peek() == ",":
-            cur.pos += 1
-            out.append(cur.number())
-        else:
-            break
     cur.expect("]")
     return out
 
 
-def _parse_matrix(cur: _Cursor) -> list[list[float]]:
-    cur.expect("[")
-    rows = [_parse_vector(cur)]
-    while True:
-        cur.skip_ws()
-        if cur.peek() == ",":
-            cur.pos += 1
-            rows.append(_parse_vector(cur))
-        else:
-            break
-    cur.expect("]")
-    return rows
+def _parse_vector(cur: _Cursor) -> list[float]:
+    return _parse_list(cur, _Cursor.number)
 
 
-def _resolve(raw, in_hint: int | None, out_hint: int | None) -> Program:
+def _resolve(cur: _Cursor, raw, in_hint: int | None, out_hint: int | None) -> Program:
     head = raw[0]
-    if head == "id":
-        dim = in_hint or out_hint or 1
-        if in_hint and out_hint and in_hint != out_hint:
-            raise multitensor.ShapeMismatchError(
-                f"id cannot map dim {in_hint} to dim {out_hint}"
-            )
-        return Identity(dim)
-    if head == "const":
-        return Constant(raw[3], input_dim=in_hint or 1)
-    if head == "affine":
-        return Affine(raw[3], raw[4])
-    if head == "layer":
-        return ContractionLayer(raw[3])
-    if head == "elem":
-        return Elementwise(raw[3], dim=in_hint or out_hint or 1)
-    if head in ("sum", "prod"):
-        dim_in, dim_out = in_hint, out_hint
-        for child in raw[3]:
-            dim_in = dim_in or child[1]
-            dim_out = dim_out or child[2]
-        children = []
-        for child in raw[3]:  # a loop, not a comprehension: one frame per level
-            children.append(_resolve(child, dim_in, dim_out))
-        return Sum(children) if head == "sum" else Product(children)
-    if head == "compose":
-        outer_raw, inner_raw = raw[3], raw[4]
-        inner = _resolve(inner_raw, in_hint, inner_raw[2] or outer_raw[1])
-        outer = _resolve(outer_raw, inner.dim_out, out_hint)
-        return Compose(outer, inner)
-    if head == "deriv":
-        return ExtractedDerivative(_resolve(raw[3], in_hint, None), raw[4])
+    try:
+        if head == "id":
+            dim = in_hint or out_hint or 1
+            if in_hint and out_hint and in_hint != out_hint:
+                raise multitensor.ShapeMismatchError(
+                    f"id cannot map dim {in_hint} to dim {out_hint}"
+                )
+            return Identity(dim)
+        if head == "const":
+            return Constant(raw[4], input_dim=in_hint or 1)
+        if head == "affine":
+            return Affine(raw[4], raw[5])
+        if head == "layer":
+            return ContractionLayer(raw[4])
+        if head == "elem":
+            return Elementwise(raw[4], dim=in_hint or out_hint or 1)
+        if head in ("sum", "prod"):
+            dim_in, dim_out = in_hint, out_hint
+            for child in raw[4]:
+                dim_in = dim_in or child[1]
+                dim_out = dim_out or child[2]
+            children = []
+            for child in raw[4]:  # a loop, not a comprehension: one frame per level
+                children.append(_resolve(cur, child, dim_in, dim_out))
+            return Sum(children) if head == "sum" else Product(children)
+        if head == "compose":
+            outer_raw, inner_raw = raw[4], raw[5]
+            inner = _resolve(cur, inner_raw, in_hint, inner_raw[2] or outer_raw[1])
+            outer = _resolve(cur, outer_raw, inner.dim_out, out_hint)
+            return Compose(outer, inner)
+        if head == "deriv":
+            return ExtractedDerivative(_resolve(cur, raw[4], in_hint, None), raw[5])
+    except multitensor.ShapeMismatchError as exc:
+        # a child's mismatch is already a SexprError, so this one is raw's own
+        line, column = cur.location(raw[3])
+        raise SexprError(f"dimension mismatch: {exc}", line, column) from None
     raise AssertionError(head)

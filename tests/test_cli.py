@@ -205,6 +205,13 @@ class TestExitCodes:
         )
         assert code == 1 and out == ""
 
+    def test_unreadable_program_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "tau", "--program", str(tmp_path), "--at", "[0]", "--order", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("tensorjet: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv, flag, text",
         [
@@ -260,6 +267,40 @@ class TestExitCodes:
         )
         assert code == 2 and out == ""
         assert "log" in err
+
+
+class TestCleanFailures:
+    """Each input ends in exit 1 or 2 with one stderr line and nothing on stdout."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, argv, code, message", [
+        ("(elem exp)",
+         ("reduce-sum", "--at", "[709]", "--dir", "[1]", "--order", "3", "--n", "5"),
+         2, "integer division result too large for a float"),
+        ("(prod (elem exp) (elem exp))", ("tau", "--at", "[400]", "--order", "1"),
+         2, "non-finite result: inf"),
+        ("(elem reciprocal)", ("tau", "--at", "[1e-200]", "--order", "1"),
+         2, "/: elem(reciprocal) failed at 1e-200: float division by zero"),
+        ("(elem log)", ("tau", "--at", "[1e-200]", "--order", "2"),
+         2, "/: elem(log) failed at 1e-200: float division by zero"),
+        ("(elem exp)",
+         ("taylor", "--at", "[700]", "--order", "3", "--h", "100", "--dir", "[1]"),
+         2, "/: elem(exp) failed at 800.0: math range error"),
+        ("\n\n(compose (affine [[1.0,2.0]] [0.0])\n  (affine [[1.0],[2.0],[3.0]] [0,0,0]))",
+         ("tau", "--at", "[1]", "--order", "1"),
+         1, "parse error: 3:1: dimension mismatch: cannot compose: "
+            "inner yields dim 3, outer expects dim 2"),
+        ('(layer {"dim_out":1,"dim_in":2.5,"order":0,"components":[[1.0]]})',
+         ("tau", "--at", "[1]", "--order", "1"),
+         1, "parse error: 1:8: bad layer payload: dim_in must be an integer, got 2.5"),
+    ], ids=["reduce-sum-overflow", "tau-inf", "reciprocal-underflow", "log-underflow",
+            "taylor-overflow", "mismatch-line-3", "non-integer-dim"])
+    def test_one_line_and_exit_code(self, capsys, tmp_path, text, argv, code, message):
+        f = tmp_path / "prog.sexp"
+        f.write_text(text)
+        argv = (argv[0], "--program", str(f)) + argv[1:]
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, out, err) == (code, "", f"tensorjet: {message}\n")
 
 
 def _sin_chain(levels):

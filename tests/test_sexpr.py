@@ -199,6 +199,33 @@ class TestErrors:
             parse(f"(compose (elem sin)\n  (layer {payload}))")
         assert (err.value.line, err.value.column) == (2, 10)
 
+    @pytest.mark.parametrize("name, value, payload", [
+        ("dim_in", "2.5", '{"dim_out": 1, "dim_in": 2.5, "order": 0, "components": [[1.0]]}'),
+        ("dim_in", "1.0", '{"dim_out": 1, "dim_in": 1.0, "order": 0, "components": [[1.0]]}'),
+        ("order", "True", '{"dim_out": 1, "dim_in": 1, "order": true, "components": [[1.0], [2.0]]}'),
+    ], ids=["dim_in-2.5", "dim_in-1.0", "order-true"])
+    def test_non_integer_payload_dims_are_an_error_at_the_payload(self, name, value, payload):
+        with pytest.raises(SexprError, match=f"{name} must be an integer, got {value}") as err:
+            parse(f"(compose (elem sin)\n  (layer {payload}))")
+        assert (err.value.line, err.value.column) == (2, 10)
+
+    def test_payload_string_may_hold_braces(self):
+        p = parse('(layer {"note": "}{\\"}", "dim_out": 1, "dim_in": 1, "order": 1,'
+                  ' "components": [[0.5], [2.0]]}) ')
+        assert p.weights.components[1].tolist() == [[2.0]]
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("(compose (elem sin)\n  (sum (affine [[1.0]] [0.0]) (affine [[1.0,2.0]] [0.0])))", 2, 3),
+        ("(compose (elem sin)\n  (prod (affine [[1.0]] [0.0]) (affine [[1.0,2.0]] [0.0])))", 2, 3),
+        ("(compose (affine [[1.0,2.0]] [0.0])\n (compose id (affine [[1.0],[2.0],[3.0]] [0,0,0])))",
+         2, 11),
+        ("(sum id\n\n   (compose (affine [[1.0,2.0]] [0.0]) (affine [[1.0]] [0.0])))", 3, 4),
+    ], ids=["sum", "prod", "id", "compose"])
+    def test_dimension_mismatch_is_an_error_at_the_node(self, text, line, column):
+        with pytest.raises(SexprError, match="dimension mismatch") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     @pytest.mark.parametrize("text, column", [
         ("(const [1e999])", 9),
         ("(affine [[1e400]] [0.0])", 11),
