@@ -44,6 +44,7 @@ from .program import (
     evaluate,
     get_primitive,
     integer_power,
+    jet,
     primitive_library,
     structurally_equal,
     tensor_network,

@@ -162,6 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "order", None) is not None and args.order < 0:
+        print("tensorjet: --order must be >= 0", file=sys.stderr)
+        return USAGE_ERROR
     try:
         # an overflow shows up as a non-finite result, which _fmt rejects
         with np.errstate(all="ignore"):
@@ -173,7 +176,7 @@ def main(argv=None) -> int:
     except SexprError as exc:
         print(f"tensorjet: parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a program that cannot be read as text
         print(f"tensorjet: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, ArithmeticError, FixedPointError) as exc:

@@ -252,8 +252,15 @@ def to_json(w: MultiTensor) -> str:
 
 
 def from_json(text: str) -> MultiTensor:
+    """Inverse of ``to_json``; ValueError unless the dims and order are JSON integers."""
     obj = json.loads(text)
     shape = Shape(obj["dim_out"], obj["dim_in"], obj["order"])
+    for name in ("dim_out", "dim_in", "order"):
+        value = getattr(shape, name)
+        if type(value) is not int:  # a JSON true is a bool, 1.0 a float
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("non-finite entry")
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     comps = obj["components"]
     if len(comps) != shape.order + 1:
         raise ShapeMismatchError(

@@ -178,7 +178,9 @@ def _chain_rule(value: np.ndarray, inner: MultiTensor, term) -> MultiTensor:
     """Tower over ``inner``'s input and order: ``value``, then partition sums.
 
     Component n sums ``partition_weight(lam) * term(lam)`` over the integer
-    partitions of n and is symmetrized.
+    partitions of n and is symmetrized.  With one slot (n = 1) or one input
+    dimension there is only one ordering of the slots, so the sum is
+    symmetric as it stands and is kept as it is.
     """
     d_out, d_in, k = value.shape[0], inner.dim_in, inner.order
     comps = [value]
@@ -186,7 +188,7 @@ def _chain_rule(value: np.ndarray, inner: MultiTensor, term) -> MultiTensor:
         acc = np.zeros((d_out,) + (d_in,) * n)
         for lam in partitions(n):
             acc += partition_weight(lam) * term(lam)
-        comps.append(_symmetrize_component(acc))
+        comps.append(acc if n < 2 or d_in == 1 else _symmetrize_component(acc))
     return MultiTensor(Shape(d_out, d_in, k), comps)
 
 

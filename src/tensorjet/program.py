@@ -13,13 +13,26 @@ affine/polynomial layers, per-order derivative sequences for elementwise
 primitives, a Leibniz product expansion, and partition-sum composition), so
 requesting a higher order never changes the lower-order components.
 
+``jet`` pushes a univariate Taylor series through the DAG instead: given the
+coefficients of an input curve x(t) truncated at t^K, it returns those of
+p(x(t)), one ``(dim, K+1)`` array per node (Griewank, Utke & Walther, Math.
+Comp. 69, 2000; Bettencourt, Johnson & Duvenaud, 2019).  Along the ray
+x(t) = v + t*u, coefficient j is <tower_j, u^(x)j> / j!, at the cost of
+truncated series products rather than dense d^j tensors.  Series products
+never read a coefficient above the one they produce, so a deeper jet leaves
+the lower coefficients bitwise unchanged.
+
+So every node type has three local rules: its value, its derivative tower,
+and its jet.  Where a rule only adds or passes results on (identity, sum,
+composition) the value rule serves jets too.
+
 Each node type is one slotted class whose constructor checks its arguments
 and sets the node's ``signature`` and ``children``.  Nodes compare and hash
 by identity and ``repr`` shows type and dimensions only, so none of these
 walk the DAG; ``structurally_equal`` compares two programs node by node.
 
-Both entry points run one walk over the DAG with an explicit stack, so there
-is no limit on its depth beyond memory.  A subprogram shared by several
+All three entry points run one walk over the DAG with an explicit stack, so
+there is no limit on its depth beyond memory.  A subprogram shared by several
 parents is computed once per call for each point and order it is needed at;
 when it fails, the error names the path by which the walk first reached it.
 """
@@ -285,6 +298,23 @@ def derivative_tower(program: Program, v, order: int) -> DerivativeTower:
     return DerivativeTower(at=v, tower=_walk(program, v, order))
 
 
+def jet(program: Program, series) -> np.ndarray:
+    """Taylor coefficients of t -> program(x(t)) up to t^K.
+
+    ``series`` has shape ``(dim_in, K+1)``; column j holds the t^j
+    coefficients of the input curve x(t).  The result has shape
+    ``(dim_out, K+1)`` with column j the t^j coefficients of the output.
+    """
+    series = np.asarray(series, dtype=np.float64)
+    if series.ndim != 2 or series.shape[0] != program.dim_in or series.shape[1] < 1:
+        raise ShapeMismatchError(
+            f"input series must have shape ({program.dim_in}, K+1), got {series.shape}"
+        )
+    if series.shape[1] == 1:  # see the note on jets below
+        return _walk(program, np.hstack([series, np.zeros_like(series)]), _JET)[:, :1]
+    return _walk(program, series, _JET)
+
+
 def tensor_network(layers) -> Program:
     """Chain of polynomial contraction layers with elementwise activations.
 
@@ -438,14 +468,18 @@ def _prim_derivatives(prim: Primitive, v: np.ndarray, k: int, path: str) -> np.n
 #
 # A request is ``(node, point, order, path)``: ``order`` None asks for the
 # node's value at ``point``, an integer for its derivative tower to that
-# order.  Every node type has one rule per kind of request.  A leaf rule
-# returns its result; any other rule is a generator that yields its
-# children's requests, is sent their results, and returns its own.  The
-# driver keeps the open generators on a list, so the Python stack does not
-# grow with the depth of the DAG.
+# order, and ``_JET`` for its jet along the input series ``point``.  Every
+# node type has one rule per kind of request.  A leaf rule returns its
+# result; any other rule is a generator that yields its children's
+# requests, is sent their results, and returns its own.  The driver keeps
+# the open generators on a list, so the Python stack does not grow with the
+# depth of the DAG.
 
-def _walk(root: Program, point: np.ndarray, order: int | None):
-    """Result of ``root`` at ``point``: its value if ``order`` is None, else its tower.
+_JET = "jet"
+
+
+def _walk(root: Program, point: np.ndarray, order):
+    """Result of ``root`` at ``point``: its value, tower or jet, as ``order`` asks.
 
     Results of nodes that more than one edge reaches are kept for the call,
     keyed by the identities of node and point and by the order, so each is
@@ -484,7 +518,7 @@ def _walk(root: Program, point: np.ndarray, order: int | None):
         rules = _RULES.get(type(node))
         if rules is None:
             raise TypeError(f"unknown program node {type(node).__name__}")
-        result = rules[0 if k is None else 1](node, at, k, path)
+        result = rules[0 if k is None else 2 if k is _JET else 1](node, at, k, path)
         if type(result) is GeneratorType:
             stack.append((result, entry))
             result = None
@@ -512,6 +546,9 @@ def _shared_nodes(root: Program) -> set[int]:
 
 
 # --- values -------------------------------------------------------------------
+#
+# The identity, sum and composition rules pass ``k`` on to their children,
+# so they serve jet requests as well as value requests.
 
 def _identity_value(p, v, k, path):
     return v.copy()
@@ -534,9 +571,9 @@ def _elementwise_value(p, v, k, path):
 
 
 def _sum_value(p, v, k, path):
-    out = yield p.children[0], v, None, path + "/sum[0]"
+    out = yield p.children[0], v, k, path + "/sum[0]"
     for i, child in enumerate(p.children[1:], start=1):
-        out = out + (yield child, v, None, f"{path}/sum[{i}]")
+        out = out + (yield child, v, k, f"{path}/sum[{i}]")
     return out
 
 
@@ -553,8 +590,8 @@ def _product_value(p, v, k, path):
 
 
 def _compose_value(p, v, k, path):
-    mid = yield p.inner, v, None, path + "/compose.inner"
-    return (yield p.outer, mid, None, path + "/compose.outer")
+    mid = yield p.inner, v, k, path + "/compose.inner"
+    return (yield p.outer, mid, k, path + "/compose.outer")
 
 
 def _extracted_value(p, v, k, path):
@@ -645,17 +682,121 @@ def _extracted_tower(p, v, k, path):
     return deep.tower
 
 
-# Each node type's value rule and tower rule, keyed by its exact type.
+# --- jets ------------------------------------------------------------------------
+#
+# A jet is a ``(dim, K+1)`` array: row i holds the t^0..t^K coefficients of
+# coordinate i.  Nonlinear rules combine jets with ``_jet_mul`` alone.  Sums
+# over a vector index run over a leading axis, which numpy adds in index
+# order whatever K is; a BLAS product would not, nor would numpy with a
+# single coefficient column (it sums that pairwise), so ``jet`` never walks
+# one.
+
+def _constant_jet(p, x, k, path):
+    out = np.zeros((p.dim_out, x.shape[1]))
+    out[:, 0] = p.value
+    return out
+
+
+def _affine_jet(p, x, k, path):
+    out = (p.matrix[:, :, None] * x).sum(axis=1)
+    out[:, 0] += p.offset
+    return out
+
+
+def _layer_jet(p, x, k, path):
+    return _contract_jet(p.weights.components, x)
+
+
+def _elementwise_jet(p, x, k, path):
+    # f(x0 + s) = sum_r f^(r)(x0)/r! s^r in Horner form, s = x - x0
+    K = x.shape[1] - 1
+    coeffs = _prim_derivatives(p.fn, x[:, 0], K, path) / _factorials(K)[:, None]
+    s = x.copy()
+    s[:, 0] = 0.0
+    out = np.zeros_like(x)
+    out[:, 0] = coeffs[K]
+    for r in range(K - 1, -1, -1):
+        out = _jet_mul(out, s)
+        out[:, 0] = coeffs[r]
+    return out
+
+
+def _product_jet(p, x, k, path):
+    jets = []
+    for i, child in enumerate(p.children):
+        jets.append((yield child, x, k, f"{path}/prod[{i}]"))
+    if p.bilinear is not None:
+        pairs = _jet_mul(jets[0][:, None, :], jets[1][None, :, :])
+        n = x.shape[1]
+        return (p.bilinear.reshape(p.dim_out, -1, 1) * pairs.reshape(-1, n)).sum(axis=1)
+    out = jets[0]
+    for other in jets[1:]:
+        out = _jet_mul(out, other)
+    return out
+
+
+def _extracted_jet(p, x, k, path):
+    # the node's own tower at x0 is its Taylor polynomial in s = x - x0
+    K = x.shape[1] - 1
+    tower = yield p, x[:, 0].copy(), K, path
+    s = x.copy()
+    s[:, 0] = 0.0
+    return _contract_jet([c / f for c, f in zip(tower.components, _factorials(K))], s)
+
+
+def _contract_jet(weights, x: np.ndarray) -> np.ndarray:
+    """Jet of sum_j w_j . x^(x)j for dense weights w_j of shape (d_out,) + (d_in,)*j."""
+    out = np.zeros((weights[0].shape[0], x.shape[1]))
+    out[:, 0] = weights[0]
+    for w in weights[1:]:
+        term = (w[..., None] * x).sum(axis=-2)  # the last slot
+        for _ in range(w.ndim - 2):
+            term = _jet_mul(term, x).sum(axis=-2)  # the next slot, summed over its index
+        out += term
+    return out
+
+
+def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of series along the last axis; leading axes broadcast.
+
+    Coefficient m is the sum of a_i * b_(m-i) over i = 0..m, added in
+    increasing i, so it does not depend on how many coefficients follow it.
+    """
+    n = a.shape[-1]
+    terms = a[..., :, None] * b[..., None, :]
+    lead = terms.shape[:-2]
+    flat = np.zeros(lead + (n * n + 1,))  # the last entry is the zero padding
+    flat[..., :-1] = terms.reshape(lead + (-1,))
+    return flat[..., _cauchy_index(n)].sum(axis=-2)
+
+
+@lru_cache(maxsize=None)
+def _cauchy_index(n: int) -> np.ndarray:
+    """``[i, m]``: flat index of a_i * b_(m-i) among n*n products, or the padding n*n."""
+    i, m = np.indices((n, n))
+    index = np.where(i <= m, i * n + m - i, n * n)
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=None)
+def _factorials(k: int) -> np.ndarray:
+    out = np.array([math.factorial(j) for j in range(k + 1)], dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+# Each node type's value, tower and jet rule, keyed by its exact type.
 _RULES = {
-    Identity: (_identity_value, _identity_tower),
-    Constant: (_constant_value, _constant_tower),
-    Affine: (_affine_value, _affine_tower),
-    ContractionLayer: (_layer_value, _layer_tower),
-    Elementwise: (_elementwise_value, _elementwise_tower),
-    Sum: (_sum_value, _sum_tower),
-    Product: (_product_value, _product_tower),
-    Compose: (_compose_value, _compose_tower),
-    ExtractedDerivative: (_extracted_value, _extracted_tower),
+    Identity: (_identity_value, _identity_tower, _identity_value),
+    Constant: (_constant_value, _constant_tower, _constant_jet),
+    Affine: (_affine_value, _affine_tower, _affine_jet),
+    ContractionLayer: (_layer_value, _layer_tower, _layer_jet),
+    Elementwise: (_elementwise_value, _elementwise_tower, _elementwise_jet),
+    Sum: (_sum_value, _sum_tower, _sum_value),
+    Product: (_product_value, _product_tower, _product_jet),
+    Compose: (_compose_value, _compose_tower, _compose_value),
+    ExtractedDerivative: (_extracted_value, _extracted_tower, _extracted_jet),
 }
 
 

@@ -6,6 +6,12 @@ monomial t^m is replaced by the exact power-sum polynomial in n built from
 Bernoulli numbers.  All combinatorial work is done in exact rational
 arithmetic (``fractions.Fraction``); floats enter only once, at the end.
 
+The ray coefficients c_j = [t^j] p(v0 + t*v) come from one jet walk of the
+program (``program.jet``, the third rule column next to values and towers)
+started from the input series (v0, v, 0, ...): truncated univariate series
+products at every node, with no dense derivative tensors.  On integer data
+every step of that walk is exact, so polynomial rays sum exactly.
+
 Convention freeze (validated against the literal-loop oracle): Bernoulli
 numbers follow the recurrence  sum_{j<m} C(m,j) B_j = 0, so B_1 = -1/2.
 With that convention the textbook polynomial
@@ -31,8 +37,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .multitensor import _as_vector
 from .operators import series_eval, taylor_series
-from .program import Program, derivative_tower, evaluate
+# derivative_tower is unused here; bench/spans.py wraps this binding
+from .program import Program, derivative_tower, evaluate, jet
 
 # Exact rationals: numerator/denominator pairs in lowest terms with a
 # positive denominator -- precisely what fractions.Fraction guarantees.
@@ -179,16 +187,15 @@ def brute_force_partial_sum(program: Program, v0, direction, n: int) -> np.ndarr
 
 
 def _ray_coefficients(program: Program, v0, direction, order: int) -> np.ndarray:
-    """Coefficients c_j of t -> p(v0 + t*direction) as rows, from the tower."""
-    tower = derivative_tower(program, v0, order)
-    direction = np.asarray(direction, dtype=np.float64)
-    rows = []
-    for j in range(order + 1):
-        term = tower.component(j)
-        for _ in range(j):
-            term = np.tensordot(term, direction, axes=([-1], [0]))
-        rows.append(term / math.factorial(j))
-    return np.array(rows)  # shape (order+1, dim_out)
+    """Coefficients c_j of t -> p(v0 + t*direction) as rows, shape (order+1, dim_out)."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    series = np.zeros((program.dim_in, order + 1))
+    series[:, 0] = _as_vector(v0, program.dim_in, "v0")
+    direction = _as_vector(direction, program.dim_in, "direction")
+    if order >= 1:
+        series[:, 1] = direction
+    return jet(program, series).T
 
 
 def reduce_sum_apply(program: Program, v0, direction, n: int, order: int) -> np.ndarray:

@@ -137,16 +137,8 @@ class _Cursor:
             self.fail(f"bad layer payload: missing key {exc}", start)
         except (TypeError, ValueError, RecursionError) as exc:
             self.fail(f"bad layer payload: {exc}", start)
-        # from_json uses dim_in as a shape only from order 1 up, so at order 0
-        # a NaN, 2.5 or 1.0 gets through; a JSON true passes as the integer 1
-        if not math.isfinite(weights.dim_in) or not all(
-            np.isfinite(c).all() for c in weights.components
-        ):
+        if not all(np.isfinite(c).all() for c in weights.components):
             self.fail("bad layer payload: non-finite entry", start)
-        for name in ("dim_out", "dim_in", "order"):
-            value = getattr(weights.shape, name)
-            if type(value) is not int:
-                self.fail(f"bad layer payload: {name} must be an integer, got {value!r}", start)
         return weights
 
 

@@ -212,6 +212,23 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("tensorjet: ") and err.count("\n") == 1
 
+    def test_program_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "latin1.sexp"
+        f.write_bytes(b"(elem exp) ; \xff")
+        code, out, err = run_cli(capsys, "tau", "--program", str(f), "--at", "[0]", "--order", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("tensorjet: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("tau", "--at", "[0]", "--order", "-1"),
+        ("taylor", "--at", "[0]", "--order", "-2", "--h", "0.1", "--dir", "[1]"),
+        ("reduce-sum", "--at", "[0]", "--dir", "[1]", "--order", "-1", "--n", "2"),
+    ])
+    def test_negative_order_is_usage_error(self, capsys, exp_file, argv):
+        argv = (argv[0], "--program", exp_file) + argv[1:]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "tensorjet: --order must be >= 0\n")
+
     @pytest.mark.parametrize(
         "argv, flag, text",
         [

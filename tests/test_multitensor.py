@@ -343,6 +343,21 @@ class TestJson:
         with pytest.raises(ShapeMismatchError):
             from_json('{"dim_out":1,"dim_in":1,"order":1,"components":[[1.0]]}')
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dim_in", "2.5", "dim_in must be an integer, got 2.5"),
+        ("dim_in", "1.0", "dim_in must be an integer, got 1.0"),
+        ("dim_out", "true", "dim_out must be an integer, got True"),
+        ("order", "true", "order must be an integer, got True"),
+        ("dim_in", "NaN", "non-finite entry"),
+        ("dim_in", "Infinity", "non-finite entry"),
+    ])
+    def test_dims_and_order_must_be_json_integers(self, field, value, message):
+        obj = {"dim_out": "1", "dim_in": "1", "order": "0", "components": "[[1.0]]"}
+        obj[field] = value
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in obj.items()) + "}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_json(text)
+
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False

@@ -29,6 +29,7 @@ from tensorjet import (
     truncate,
 )
 from tensorjet.multitensor import algebra_product, symmetrize
+import tensorjet.operators as operators_module
 from tensorjet.operators import reduction_commutes
 from tensorjet.program import _from_series_scaling
 
@@ -260,6 +261,45 @@ class TestDiagonalChainRule:
             x = math.sin(x)
         assert t.components[0][0] == pytest.approx(x, rel=1e-14)
         assert t.components[1][0, 0] == pytest.approx(slope, rel=1e-13)
+
+
+class TestChainRuleSymmetrizes:
+    @staticmethod
+    def _chain_rule_symmetrizing_all(value, inner, term):
+        """Reference: every partition sum passed through the symmetrizer."""
+        d_out, d_in, k = value.shape[0], inner.dim_in, inner.order
+        comps = [value]
+        for n in range(1, k + 1):
+            acc = np.zeros((d_out,) + (d_in,) * n)
+            for lam in partitions(n):
+                acc += partition_weight(lam) * term(lam)
+            comps.append(operators_module._symmetrize_component(acc))
+        return MultiTensor(Shape(d_out, d_in, k), comps)
+
+    def test_only_multi_slot_components_of_several_inputs(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        programs = [random_program(rng, 1 + case % 3, 2, 3) for case in range(18)]
+        points = [rng.uniform(-0.5, 0.5, size=p.dim_in) for p in programs]
+        towers = [derivative_tower(p, v, 4).tower for p, v in zip(programs, points)]
+        monkeypatch.setattr(operators_module, "_chain_rule", self._chain_rule_symmetrizing_all)
+        for p, v, got in zip(programs, points, towers):
+            assert _bitwise_equal(got, derivative_tower(p, v, 4).tower)
+
+    def test_no_symmetrizing_for_one_input(self, monkeypatch):
+        calls = []
+        symmetrize_component = operators_module._symmetrize_component
+
+        def counting(comp):
+            calls.append(comp.shape)
+            return symmetrize_component(comp)
+
+        monkeypatch.setattr(operators_module, "_symmetrize_component", counting)
+        sin = Elementwise(get_primitive("sin"))
+        derivative_tower(Compose(sin, Compose(sin, Affine([[0.5]], [0.1]))), [0.3], 6)
+        assert calls == []
+        derivative_tower(Compose(Elementwise(get_primitive("sin"), 2),
+                                 Affine([[0.5, 0.2], [0.1, -0.3]], [0.1, 0.0])), [0.3, 0.1], 3)
+        assert calls == [(2, 2, 2), (2, 2, 2, 2)]
 
 
 class TestChains:
