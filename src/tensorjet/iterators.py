@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import taylor_series
-from .program import Program, derivative_tower, evaluate
+from .program import Program, _jet_mul, derivative_tower, evaluate
 
 
 class FixedPointError(RuntimeError):
@@ -175,9 +175,11 @@ def _warn_if_outside(data: SchroederData, u: float, radius: float | None):
 def _solve_eigen_series(local: list[float], lam: float, order: int) -> list[float]:
     """Coefficients of h with h(P(u)) = lam*h(u), h'(0) = 1, degree by degree."""
     # powers[j] = coefficients of P(u)^j truncated at the working order
-    powers = [[1.0] + [0.0] * order]
+    series = np.array(local)
+    powers = [np.array([1.0] + [0.0] * order)]
     for _ in range(order):
-        powers.append(_mul_trunc(powers[-1], local, order))
+        powers.append(_jet_mul(powers[-1], series))
+    powers = np.array(powers).tolist()
     h = [0.0, 1.0] + [0.0] * (order - 1)
     for m in range(2, order + 1):
         rhs = sum(h[j] * powers[j][m] for j in range(1, m))
@@ -192,25 +194,14 @@ def _revert_series(h: list[float], order: int) -> list[float]:
     """Series g with h(g(w)) = w + O(w^{order+1}); assumes h = u + higher terms."""
     g = [0.0, 1.0] + [0.0] * (order - 1)
     for m in range(2, order + 1):
-        power = list(g)  # g^1; [g^j]_m only involves finished coefficients g_{<m}
+        series = np.array(g)
+        power = series  # g^1; [g^j]_m only involves finished coefficients g_{<m}
         total = 0.0
         for j in range(2, m + 1):
-            power = _mul_trunc(power, g, order)  # g^j
-            total += h[j] * power[m]
+            power = _jet_mul(power, series)  # g^j
+            total += h[j] * float(power[m])
         g[m] = -total
     return g
-
-
-def _mul_trunc(a: list[float], b: list[float], order: int) -> list[float]:
-    out = [0.0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0.0 or i > order:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
 
 
 def _polyval(coeffs, u: float) -> float:

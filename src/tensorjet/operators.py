@@ -151,7 +151,7 @@ def compose_towers(
     return DerivativeTower(at=inner.at, tower=tower)
 
 
-def _compose_elementwise(fvals: np.ndarray, inner: DerivativeTower) -> DerivativeTower:
+def _compose_elementwise(fvals: np.ndarray, inner: MultiTensor) -> MultiTensor:
     """Tower of ``Elementwise(fn) . inner`` by the diagonal chain rule.
 
     ``fvals[r, i]`` is the r-th derivative of ``fn`` at ``inner.value[i]``,
@@ -161,17 +161,16 @@ def _compose_elementwise(fvals: np.ndarray, inner: DerivativeTower) -> Derivativ
     products run in the order of the dense contraction in
     :func:`compose_towers`, so the result is bitwise the same.
     """
-    g = inner.tower.components
-    d = inner.tower.dim_out
+    g = inner.components
+    d = inner.dim_out
 
     def term(lam):
         t = fvals[len(lam)][:, None] * g[lam[0]].reshape(d, -1)
         for part in lam[1:]:
             t = (t[:, :, None] * g[part].reshape(d, 1, -1)).reshape(d, -1)
-        return t.reshape((d,) + (inner.tower.dim_in,) * sum(lam))
+        return t.reshape((d,) + (inner.dim_in,) * sum(lam))
 
-    tower = _chain_rule(fvals[0], inner.tower, term)
-    return DerivativeTower(at=inner.at, tower=tower)
+    return _chain_rule(fvals[0], inner, term)
 
 
 def _chain_rule(value: np.ndarray, inner: MultiTensor, term) -> MultiTensor:

@@ -661,16 +661,15 @@ def _product_tower(p, v, k, path):
 def _compose_tower(p, v, k, path):
     from .operators import _compose_elementwise, compose_towers
 
-    inner = DerivativeTower(at=v, tower=(yield p.inner, v, k, path + "/compose.inner"))
+    inner = yield p.inner, v, k, path + "/compose.inner"
     if isinstance(p.outer, Elementwise):
         # Diagonal chain rule: the dense outer tower is zero off its diagonal.
         fvals = _prim_derivatives(p.outer.fn, inner.value, k, path + "/compose.outer")
-        return _compose_elementwise(fvals, inner).tower
-    outer = DerivativeTower(
-        at=inner.value,
-        tower=(yield p.outer, inner.value, k, path + "/compose.outer"),
-    )
-    return compose_towers(outer, inner).tower
+        return _compose_elementwise(fvals, inner)
+    outer = yield p.outer, inner.value, k, path + "/compose.outer"
+    return compose_towers(
+        DerivativeTower(at=inner.value, tower=outer), DerivativeTower(at=v, tower=inner)
+    ).tower
 
 
 def _extracted_tower(p, v, k, path):

@@ -3,8 +3,13 @@
 ``reduce_sum_apply`` computes  sum_{h=0..n} p(v0 + h*v)  without looping over
 h: the program is expanded into its truncated series along the ray, and each
 monomial t^m is replaced by the exact power-sum polynomial in n built from
-Bernoulli numbers.  All combinatorial work is done in exact rational
-arithmetic (``fractions.Fraction``); floats enter only once, at the end.
+Bernoulli numbers.  There is one exact route: ``reduce_sum_polynomials``
+builds the per-coordinate polynomial sum_j c_j S_j(n), and apply and
+``reduction_velocity`` evaluate it (or its derivatives in n) at n.  Every
+float c_j is dyadic, a_j / 2^e_j, and the closed forms S_0..S_order are
+cached per order as integer numerators over one denominator, so each
+polynomial coefficient is an integer sum divided once (``fractions.Fraction``).
+Every output is that exact rational rounded to a float once, at the end.
 
 The ray coefficients c_j = [t^j] p(v0 + t*v) come from one jet walk of the
 program (``program.jet``, the third rule column next to values and towers)
@@ -31,6 +36,7 @@ count come out of polynomial calculus rather than finite differencing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,23 +90,11 @@ class RationalPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, n) -> Fraction:
+        n = Fraction(n)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * Fraction(n) + c
+            acc = acc * n + c
         return acc
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        size = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * size
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return RationalPoly(out)
-
-    def scaled(self, factor) -> "RationalPoly":
-        factor = Fraction(factor)
-        return RationalPoly([c * factor for c in self.coeffs])
 
     def derivative(self, k: int = 1) -> "RationalPoly":
         coeffs = list(self.coeffs)
@@ -207,27 +201,31 @@ def reduce_sum_apply(program: Program, v0, direction, n: int, order: int) -> np.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    coeffs = _ray_coefficients(program, v0, direction, order)
-    sums = [reduce_sum_closed_form(j)(n) for j in range(order + 1)]
-    out = np.empty(program.dim_out)
-    for i in range(program.dim_out):
-        acc = Fraction(0)
-        for j in range(order + 1):
-            acc += Fraction(coeffs[j, i]) * sums[j]
-        out[i] = float(acc)
-    return out
+    polys = reduce_sum_polynomials(program, v0, direction, order)
+    return np.array([float(p(n)) for p in polys])
 
 
 def reduce_sum_polynomials(program: Program, v0, direction, order: int) -> list[RationalPoly]:
     """Per-coordinate closed-form polynomial in n for sum_{h=0..n} p(v0 + h*v)."""
     coeffs = _ray_coefficients(program, v0, direction, order)
+    den, columns = _closed_form_numerators(order)
     polys = []
-    for i in range(program.dim_out):
-        acc = RationalPoly([0])
-        for j in range(order + 1):
-            acc = acc + reduce_sum_closed_form(j).scaled(Fraction(coeffs[j, i]))
-        polys.append(acc)
+    for row in coeffs.T.tolist():
+        ratios = [c.as_integer_ratio() for c in row]  # each b is a power of two
+        scale = max(b for _, b in ratios)
+        nums = [a * (scale // b) for a, b in ratios]
+        polys.append(RationalPoly(
+            Fraction(sum(map(operator.mul, nums, col)), scale * den) for col in columns
+        ))
     return polys
+
+
+@lru_cache(maxsize=None)
+def _closed_form_numerators(order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, columns)``: the n^m coefficient of S_j is ``columns[m][j] / den``."""
+    forms = [reduce_sum_closed_form(j).coeffs + (0,) * (order - j) for j in range(order + 1)]
+    den = math.lcm(*(c.denominator for form in forms for c in form))
+    return den, tuple(zip(*[[int(c * den) for c in form] for form in forms]))
 
 
 def reduction_velocity(

@@ -79,6 +79,14 @@ def random_program(rng, dim_in, dim_out, depth):
     )
 
 
+def random_bilinear_product(rng, dim_in, depth=2):
+    """Two random children combined by a random explicit bilinear map."""
+    a = random_program(rng, dim_in, int(rng.integers(1, 4)), depth)
+    b = random_program(rng, dim_in, int(rng.integers(1, 4)), depth)
+    bilinear = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 4)), a.dim_out, b.dim_out))
+    return Product((a, b), bilinear=bilinear)
+
+
 def random_chain(rng, length, dim_in, dim_out, depth=1):
     """Composable pipeline of ``length`` random stages; first stage runs first."""
     dims = [dim_in] + [int(rng.integers(1, 4)) for _ in range(length - 1)] + [dim_out]

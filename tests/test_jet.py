@@ -28,7 +28,7 @@ from tensorjet import (
 from tensorjet.multitensor import ShapeMismatchError
 from tensorjet.program import jet
 
-from _gen import random_program, rel_gap
+from _gen import random_bilinear_product, random_program, rel_gap
 
 
 def ray_series(v, u, order):
@@ -61,6 +61,9 @@ def test_jet_matches_tower_along_the_ray():
     programs.append(ExtractedDerivative(
         Compose(Elementwise(get_primitive("sin"), 2), Affine([[0.5, -0.3], [0.2, 0.9]],
                                                             [0.1, -0.2])), 2))
+    bilinear_rng = np.random.default_rng(71)  # random_program makes no bilinear Product
+    programs += [random_bilinear_product(bilinear_rng, int(bilinear_rng.integers(1, 4)))
+                 for _ in range(10)]
     for p in programs:
         v = rng.uniform(-0.5, 0.5, size=p.dim_in)
         u = rng.uniform(-0.5, 0.5, size=p.dim_in)

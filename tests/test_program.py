@@ -32,7 +32,14 @@ from tensorjet.multitensor import ShapeMismatchError
 from tensorjet.program import _to_series_scaling, _from_series_scaling
 from tensorjet.multitensor import algebra_product, symmetrize
 
-from _gen import fd_hessian, fd_jacobian, random_multitensor, random_program, rel_gap
+from _gen import (
+    fd_hessian,
+    fd_jacobian,
+    random_bilinear_product,
+    random_multitensor,
+    random_program,
+    rel_gap,
+)
 
 
 def scalar_layer(*coeffs):
@@ -148,6 +155,26 @@ class TestDerivativeTower:
             )
             for x, y in zip(got.components, want.components):
                 assert np.max(np.abs(x - y)) < 1e-12
+
+
+class TestBilinearProduct:
+    """``Product((a, b), bilinear=B)``: out_i = sum_rs B[i, r, s] a_r b_s."""
+
+    def test_value_is_the_map_of_the_children_values(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            p = random_bilinear_product(rng, int(rng.integers(1, 4)))
+            v = rng.uniform(-0.8, 0.8, size=p.dim_in)
+            a, b = (evaluate(child, v) for child in p.children)
+            want = np.einsum("irs,r,s->i", p.bilinear, a, b)
+            assert rel_gap(evaluate(p, v), want) < 1e-14
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            p = random_bilinear_product(rng, int(rng.integers(1, 4)))
+            v = rng.uniform(-0.8, 0.8, size=p.dim_in)
+            assert rel_gap(derivative_tower(p, v, 1).component(1), fd_jacobian(p, v)) < 1e-6
 
 
 class TestPrimitives:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -19,12 +20,15 @@ from tensorjet import (
     bernoulli,
     brute_force_partial_sum,
     evaluate,
+    get_primitive,
     integer_power,
     reduce_sum_apply,
     reduce_sum_closed_form,
     reduce_sum_polynomials,
     reduction_velocity,
 )
+
+from tensorjet.reducesum import _ray_coefficients
 
 from _gen import random_multitensor
 
@@ -194,6 +198,52 @@ class TestReduceSumApply:
                 )
                 want = evaluate(p, v0 + n * v)
                 assert np.max(np.abs(gap - want)) < 1e-9
+
+
+class TestAgainstFractionFormulas:
+    """The integer-numerator route against the plain ``Fraction`` formulas."""
+
+    @staticmethod
+    def reference_apply(coeffs, n):
+        """sum_j Fraction(c_j) * S_j(n) per coordinate, rounded once."""
+        sums = [reduce_sum_closed_form(j)(n) for j in range(len(coeffs))]
+        return np.array([float(sum(Fraction(c) * s for c, s in zip(row, sums)))
+                         for row in coeffs.T.tolist()])
+
+    @staticmethod
+    def reference_polynomials(coeffs):
+        """Each closed form S_j scaled by Fraction(c_j), added one after another."""
+        polys = []
+        for row in coeffs.T.tolist():
+            acc = []
+            for j, c in enumerate(row):
+                term = [Fraction(c) * s for s in reduce_sum_closed_form(j).coeffs]
+                acc = [a + b for a, b in zip_longest(acc, term, fillvalue=0)]
+            polys.append(RationalPoly(acc))
+        return polys
+
+    @staticmethod
+    def rays():
+        mix = Affine([[0.5, -0.75], [0.25, 0.5], [-1.0, 0.125]], [0.1, -0.2, 0.3])
+        for name in ("exp", "sin", "cos", "tanh"):
+            fn = get_primitive(name)
+            yield Sum((Elementwise(fn), Affine([[0.75]], [-0.25]))), [0.3], [0.4]
+            yield Compose(Elementwise(fn, 3), mix), [0.2, -0.1], [0.3, 0.25]
+        yield Sum((Elementwise(integer_power(3)), Affine([[2.0]], [-1.0]))), [-1.0], [2.0]
+        # c_0 = sin(-0.0) = -0.0, even coefficients +0.0, the last row all zero
+        yield Elementwise(get_primitive("sin"), 3), [-0.0, 0.0, -0.0], [0.5, -0.25, 0.0]
+
+    @pytest.mark.parametrize("order", [0, 1, 12, 24])
+    def test_bit_for_bit(self, order):
+        signed_zeros = set()
+        for p, v0, u in self.rays():
+            coeffs = _ray_coefficients(p, v0, u, order)
+            signed_zeros.update(np.signbit(coeffs[coeffs == 0]).tolist())
+            assert reduce_sum_polynomials(p, v0, u, order) == self.reference_polynomials(coeffs)
+            for n in [*range(9), 10**6]:
+                got = reduce_sum_apply(p, v0, u, n, order)
+                assert got.tobytes() == self.reference_apply(coeffs, n).tobytes()
+        assert signed_zeros == {False, True}
 
 
 class TestShiftSemigroup:
