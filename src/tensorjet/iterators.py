@@ -44,6 +44,8 @@ class ResonanceError(ValueError):
 
 
 _LAM_TOL = 1e-9
+_NEWTON_TOL = 1e-12  # fixed-point residual |p(v) - v| that ends the iteration
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -64,15 +66,14 @@ class SchroederData:
     order: int
 
 
-def find_fixed_point(program: Program, seed: float, tol: float = 1e-12,
-                     max_iter: int = 100) -> float:
+def find_fixed_point(program: Program, seed: float) -> float:
     """Newton iteration for p(v) = v starting from ``seed`` (scalar programs)."""
     _require_scalar(program)
     v = float(seed)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         t = derivative_tower(program, [v], 1)
         residual = float(t.value[0]) - v
-        if abs(residual) <= tol:
+        if abs(residual) <= _NEWTON_TOL:
             return v
         slope = float(t.component(1)[0, 0]) - 1.0
         if abs(slope) < 1e-14:
@@ -83,7 +84,7 @@ def find_fixed_point(program: Program, seed: float, tol: float = 1e-12,
         if not math.isfinite(v):
             raise FixedPointError("Newton iteration diverged to non-finite values")
     raise FixedPointError(
-        f"no fixed point found within {max_iter} iterations (last iterate {v!r})"
+        f"no fixed point found within {_NEWTON_MAX_ITER} iterations (last iterate {v!r})"
     )
 
 
@@ -118,9 +119,7 @@ def schroeder(program: Program, fixed_point: float, order: int) -> SchroederData
     )
 
 
-def fractional_iterate(
-    data: SchroederData, x: float, v: float, radius: float | None = None
-) -> float:
+def fractional_iterate(data: SchroederData, x: float, v: float) -> float:
     """The x-th iterate p^x(v) = h^{-1}(lam^x h(v)); x may be any real.
 
     Negative multipliers only admit integer x over the reals.  Points outside
@@ -131,19 +130,19 @@ def fractional_iterate(
             "negative multiplier: non-integer iteration orders are complex-valued"
         )
     u = float(v) - data.fixed_point
-    _warn_if_outside(data, u, radius)
+    _warn_if_outside(data, u)
     w = _polyval(data.h_coeffs, u) * data.lam**x
     return data.fixed_point + _polyval(data.h_inv_coeffs, w)
 
 
-def iterating_velocity(data: SchroederData, v: float, radius: float | None = None) -> float:
+def iterating_velocity(data: SchroederData, v: float) -> float:
     """Rate of change of the iterate in the iteration count: log(lam)*h(v)/h'(v)."""
     if data.nu is None:
         raise HyperbolicityError(
             "negative multiplier: iterating velocity is complex-valued"
         )
     u = float(v) - data.fixed_point
-    _warn_if_outside(data, u, radius)
+    _warn_if_outside(data, u)
     hu = _polyval(data.h_coeffs, u)
     dh = _polyval(_deriv_coeffs(data.h_coeffs), u)
     if abs(dh) < 1e-12:
@@ -161,8 +160,8 @@ def convergence_radius(data: SchroederData) -> float:
     return best
 
 
-def _warn_if_outside(data: SchroederData, u: float, radius: float | None):
-    limit = convergence_radius(data) if radius is None else radius
+def _warn_if_outside(data: SchroederData, u: float):
+    limit = convergence_radius(data)
     if math.isfinite(limit) and abs(u) > limit:
         warnings.warn(
             f"point at distance {abs(u):.3g} from the fixed point exceeds the "
@@ -192,16 +191,18 @@ def _solve_eigen_series(local: list[float], lam: float, order: int) -> list[floa
 
 def _revert_series(h: list[float], order: int) -> list[float]:
     """Series g with h(g(w)) = w + O(w^{order+1}); assumes h = u + higher terms."""
-    g = [0.0, 1.0] + [0.0] * (order - 1)
+    # Row j holds the coefficients of g^j (row 1 is g itself).  [g^j]_m only
+    # involves the finished coefficients g_1..g_{m-1}, so at degree m one
+    # product of rows 1..m-1 with g gives column m of rows 2..m.
+    powers = np.zeros((order + 1, order + 1))
+    powers[1, 1] = 1.0
     for m in range(2, order + 1):
-        series = np.array(g)
-        power = series  # g^1; [g^j]_m only involves finished coefficients g_{<m}
+        powers[2:m + 1, m] = _jet_mul(powers[1:m, :m + 1], powers[1, :m + 1])[:, m]
         total = 0.0
         for j in range(2, m + 1):
-            power = _jet_mul(power, series)  # g^j
-            total += h[j] * float(power[m])
-        g[m] = -total
-    return g
+            total += h[j] * float(powers[j, m])
+        powers[1, m] = -total
+    return powers[1].tolist()
 
 
 def _polyval(coeffs, u: float) -> float:

@@ -62,9 +62,9 @@ class MultiTensor:
     finite unless an operation documents otherwise.
     """
 
-    __slots__ = ("shape", "components", "truncated")
+    __slots__ = ("shape", "components")
 
-    def __init__(self, shape: Shape, components, truncated: bool = False):
+    def __init__(self, shape: Shape, components):
         if len(components) != shape.order + 1:
             raise ShapeMismatchError(
                 f"expected {shape.order + 1} components, got {len(components)}"
@@ -84,7 +84,6 @@ class MultiTensor:
             frozen.append(arr)
         self.shape = shape
         self.components = tuple(frozen)
-        self.truncated = truncated
 
     @property
     def dim_out(self) -> int:
@@ -182,8 +181,7 @@ def algebra_product(
     ``B(v, u) (x) f_1..f_p (x) g_1..g_q``, extended bilinearly.  ``bilinear``
     is a ``(d, a.dim_out, b.dim_out)`` array encoding ``B``; ``None`` selects
     the componentwise product (requires equal output dims).  The result order
-    is ``a.order + b.order``, truncated to ``max_order`` when given (the
-    ``truncated`` flag on the result records whether anything was dropped).
+    is ``a.order + b.order``, truncated to ``max_order`` when given.
     """
     if a.dim_in != b.dim_in:
         raise ShapeMismatchError(
@@ -214,7 +212,7 @@ def algebra_product(
             if p + q > out_order:
                 continue
             comps[p + q] += _pair_product(a.components[p], b.components[q], bilinear)
-    return MultiTensor(shape, comps, truncated=out_order < full_order)
+    return MultiTensor(shape, comps)
 
 
 def symmetrize(w: MultiTensor) -> MultiTensor:

@@ -44,6 +44,8 @@ from .multitensor import (
 from .multitensor import _symmetrize_component
 from .program import DerivativeTower, Program, derivative_tower
 
+_BASE_TOL = 1e-9  # relative tolerance on the base point shared by composed towers
+
 
 @dataclass(frozen=True)
 class TensorSeries:
@@ -115,13 +117,11 @@ def partition_weight(partition: tuple[int, ...]) -> int:
     return math.factorial(n) // denom
 
 
-def compose_towers(
-    outer: DerivativeTower, inner: DerivativeTower, base_tol: float = 1e-9
-) -> DerivativeTower:
+def compose_towers(outer: DerivativeTower, inner: DerivativeTower) -> DerivativeTower:
     """Derivative tower of ``outer . inner`` from the two factors' towers.
 
-    ``outer`` must have been expanded at the value of ``inner`` (checked to
-    ``base_tol``) and both towers must share the truncation order.  Component
+    ``outer`` must have been expanded at the value of ``inner`` (to a relative
+    ``_BASE_TOL``) and both towers must share the truncation order.  Component
     n of the result sums, over the integer partitions of n, the derivative of
     ``outer`` of order "number of parts" contracted against one ``inner``
     derivative per part, weighted by the partition's slot count; the result
@@ -133,7 +133,7 @@ def compose_towers(
         )
     mid = inner.value
     scale_ref = max(1.0, float(np.max(np.abs(mid))))
-    if outer.at.shape != mid.shape or np.max(np.abs(outer.at - mid)) > base_tol * scale_ref:
+    if outer.at.shape != mid.shape or np.max(np.abs(outer.at - mid)) > _BASE_TOL * scale_ref:
         raise ValueError(
             "base point mismatch: outer tower expanded at "
             f"{outer.at}, inner evaluates to {mid}"

@@ -1,6 +1,6 @@
 """Programs as expression DAGs over analytic primitives, and their derivative towers.
 
-A ``Program`` is an immutable DAG of node types (identity, constants, affine
+A ``Program`` is a DAG of node types (identity, constants, affine
 maps, polynomial contraction layers, elementwise analytic functions, sums,
 bilinear products, compositions, extracted derivatives) denoting a map
 between real vector spaces.  ``evaluate`` runs it; ``derivative_tower``
@@ -26,15 +26,19 @@ So every node type has three local rules: its value, its derivative tower,
 and its jet.  Where a rule only adds or passes results on (identity, sum,
 composition) the value rule serves jets too.
 
-Each node type is one slotted class whose constructor checks its arguments
-and sets the node's ``signature`` and ``children``.  Nodes compare and hash
-by identity and ``repr`` shows type and dimensions only, so none of these
-walk the DAG; ``structurally_equal`` compares two programs node by node.
+Each node type is one slotted class whose constructor checks its arguments,
+sets the node's ``signature`` and ``children`` and adds one to each child's
+``uses``, its count of parent edges; nodes are immutable apart from that
+count.  Nodes compare and hash by identity and ``repr`` shows type and
+dimensions only, so none of these walk the DAG; ``structurally_equal``
+compares two programs node by node.
 
 All three entry points run one walk over the DAG with an explicit stack, so
-there is no limit on its depth beyond memory.  A subprogram shared by several
-parents is computed once per call for each point and order it is needed at;
-when it fails, the error names the path by which the walk first reached it.
+there is no limit on its depth beyond memory.  A subprogram with more than
+one parent is computed once per call for each point and order it is needed
+at; when it fails, the error names the path by which the walk first reached
+it.  Building programs on shared nodes from several threads at once may lose
+an increment of ``uses``, which costs a recomputation, never a wrong result.
 """
 
 from __future__ import annotations
@@ -87,18 +91,24 @@ class Primitive:
 
 
 class Program:
-    """Base class for DAG nodes.  Immutable; evaluation is pure.
+    """Base class for DAG nodes.  Immutable apart from ``uses``; evaluation is pure.
 
     ``children`` are the nodes this one reads, in the order the walk, the
     printer and ``structurally_equal`` visit them.  ``signature`` is set at
     construction, so reading ``dim_in``/``dim_out`` never walks the subtree.
+    ``uses`` counts the parent edges built on this node so far; a subclass
+    constructor calls this one last, after its checks, so a node that fails
+    to build counts nothing on its children.
     """
 
-    __slots__ = ("signature", "children")
+    __slots__ = ("signature", "children", "uses")
 
     def __init__(self, dim_in: int, dim_out: int, children: tuple = ()):
         self.signature = ProgramSignature(dim_in, dim_out)
         self.children = children
+        self.uses = 0
+        for child in children:
+            child.uses += 1
 
     @property
     def dim_in(self) -> int:
@@ -481,13 +491,15 @@ _JET = "jet"
 def _walk(root: Program, point: np.ndarray, order):
     """Result of ``root`` at ``point``: its value, tower or jet, as ``order`` asks.
 
-    Results of nodes that more than one edge reaches are kept for the call,
-    keyed by the identities of node and point and by the order, so each is
-    computed once per point and order and reports, in errors, the path by
-    which it was first reached.  An entry also holds the node and the point,
-    so neither id can be reused while the walk runs.
+    Results of nodes with more than one parent edge (``uses`` > 1) are kept
+    for the call, keyed by the identities of node and point and by the
+    order, so each is computed once per point and order and reports, in
+    errors, the path by which it was first reached.  An entry also holds the
+    node and the point, so neither id can be reused while the walk runs.
+    ``uses`` counts parents in every program built on the node, so a node in
+    two programs is kept even where ``root`` reaches it once; that costs
+    memory, never a different result.
     """
-    shared = _shared_nodes(root)
     memo = {}
     stack = [(_ask(root, point, order), None)]
     result = None
@@ -508,7 +520,7 @@ def _walk(root: Program, point: np.ndarray, order):
         # reference would keep a large tower alive for the rest of the walk.
         result = None
         entry = None
-        if id(node) in shared:
+        if node.uses > 1:
             key = (id(node), id(at), k)
             hit = memo.get(key)
             if hit is not None:
@@ -528,21 +540,6 @@ def _walk(root: Program, point: np.ndarray, order):
 
 def _ask(node, point, order):
     return (yield node, point, order, "")
-
-
-def _shared_nodes(root: Program) -> set[int]:
-    """Ids of the nodes below ``root`` that more than one edge reaches."""
-    seen = {id(root)}
-    shared = set()
-    stack = [root]
-    while stack:
-        for child in stack.pop().children:
-            if id(child) in seen:
-                shared.add(id(child))
-            else:
-                seen.add(id(child))
-                stack.append(child)
-    return shared
 
 
 # --- values -------------------------------------------------------------------

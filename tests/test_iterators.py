@@ -23,7 +23,8 @@ from tensorjet import (
     iterating_velocity,
     schroeder,
 )
-from tensorjet.iterators import iterate_exact
+from tensorjet.iterators import _revert_series, _solve_eigen_series, iterate_exact
+from tensorjet.program import _jet_mul
 
 from _gen import loglog_slope
 
@@ -221,6 +222,61 @@ class TestRadius:
     def test_nonlinear_series_estimate_is_finite(self):
         data = schroeder(QUAD, 0.0, 10)
         assert 0.0 < convergence_radius(data) < math.inf
+
+
+def _revert_by_fresh_powers(h, order):
+    """Reversion that rebuilds g^2..g^m at every degree m, the reference."""
+    g = [0.0, 1.0] + [0.0] * (order - 1)
+    for m in range(2, order + 1):
+        series = np.array(g)
+        power = series
+        total = 0.0
+        for j in range(2, m + 1):
+            power = _jet_mul(power, series)
+            total += h[j] * float(power[m])
+        g[m] = -total
+    return g
+
+
+def _random_series(rng, order):
+    """h = u + higher terms, with signed zeros among the coefficients."""
+    h = [0.0, 1.0]
+    for _ in range(2, order + 1):
+        r = rng.random()
+        h.append(0.0 if r < 0.15 else -0.0 if r < 0.3 else float(rng.normal()) / 2)
+    return h
+
+
+class TestReversion:
+    def test_matches_fresh_powers_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for order in range(1, 31):
+            cases = [_random_series(rng, order) for _ in range(6)]
+            for lam in (-0.6, 0.3):  # eigen series of a random local map
+                local = [0.0, lam] + [float(c) for c in rng.normal(size=order - 1) / 2]
+                cases.append(_solve_eigen_series(local, lam, order))
+            for h in cases:
+                want = _revert_by_fresh_powers(h, order)
+                got = _revert_series(h, order)
+                assert all(math.isfinite(c) for c in want)
+                assert all(type(c) is float for c in got)
+                assert [c.hex() for c in got] == [c.hex() for c in want]
+
+    def test_one_series_product_per_degree(self, monkeypatch):
+        import tensorjet.iterators as iterators_module
+
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return _jet_mul(a, b)
+
+        monkeypatch.setattr(iterators_module, "_jet_mul", counting)
+        rng = np.random.default_rng(6)
+        for order in (1, 2, 7, 24):
+            calls.clear()
+            _revert_series(_random_series(rng, order), order)
+            assert len(calls) == order - 1
 
 
 def _mul(a, b, order):

@@ -23,6 +23,7 @@ from tensorjet import (
     evaluate,
     get_primitive,
     integer_power,
+    jet,
     primitive_library,
     structurally_equal,
     tensor_network,
@@ -414,6 +415,54 @@ class TestDagWalk:
             path, rest = str(err.value).split(": ", 1)
             assert rest.startswith("elem(log)")
             assert _node_at(p, path) is log
+
+    def test_nodes_count_their_parent_edges(self):
+        q = _cos_leaf()
+        root = Product([q, q])
+        assert q.uses == 2
+        assert q.outer.uses == 1 and q.inner.uses == 1
+        assert root.uses == 0
+
+    def test_failed_construction_counts_nothing(self):
+        one, two = Affine([[1.0]], [0.0]), Affine([[1.0, 2.0]], [0.0])
+        builds = [
+            lambda: Sum([one, two]),
+            lambda: Compose(one, Identity(2)),
+            lambda: Product([one, one], bilinear=np.zeros((1, 2, 2))),
+            lambda: ExtractedDerivative(one, 0),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError):
+                build()
+            assert one.uses == 0 and two.uses == 0
+
+    def test_subprogram_in_two_programs_matches_fresh_copies(self):
+        def sub():
+            return Compose(Elementwise(get_primitive("log")), Affine([[0.5]], [0.2]))
+
+        def first(s):
+            return Compose(Elementwise(get_primitive("sin")), s)
+
+        def second(s):
+            return Sum([
+                Product([s, Affine([[1.0]], [0.3])]),
+                Compose(Elementwise(get_primitive("tanh")), Affine([[2.0]], [0.1])),
+            ])
+
+        shared = sub()
+        programs = [(build(shared), build) for build in (first, second)]
+        assert shared.uses == 2
+        for p, build in programs:
+            fresh = build(sub())
+            _assert_towers_identical(p, fresh, np.array([0.7]), orders=(3,))
+            series = np.array([[0.7, 1.0, -0.4, 0.25]])
+            assert np.array_equal(jet(p, series), jet(fresh, series))
+            with pytest.raises(DomainEvalError) as err:
+                evaluate(p, [-1.0])
+            with pytest.raises(DomainEvalError) as fresh_err:
+                evaluate(fresh, [-1.0])
+            assert str(err.value) == str(fresh_err.value)
+            assert _node_at(p, str(err.value).split(": ", 1)[0]) is shared.outer
 
     def test_signature_is_computed_once(self):
         sin = Elementwise(get_primitive("sin"))
