@@ -162,9 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "order", None) is not None and args.order < 0:
-        print("tensorjet: --order must be >= 0", file=sys.stderr)
-        return USAGE_ERROR
+    for name in ("order", "n", "velocity"):
+        if getattr(args, name, None) is not None and getattr(args, name) < 0:
+            print(f"tensorjet: --{name} must be >= 0", file=sys.stderr)
+            return USAGE_ERROR
     try:
         # an overflow shows up as a non-finite result, which _fmt rejects
         with np.errstate(all="ignore"):

@@ -7,7 +7,12 @@ program at the shifted argument ``v0 + h*v``.
 
 ``compose_towers`` combines the derivative towers of two programs into the
 tower of their composition, summing one contraction term per integer
-partition (the higher-order chain rule).  ``forward_chain``/``reverse_chain``
+partition (the higher-order chain rule).  A factor of finite degree, such as
+an affine map or a polynomial layer, has exactly zero components above that
+degree, so only the partitions that read none of them are evaluated: no more
+parts than the outer degree and no part above the inner degree.  Each
+skipped term is zero, so on finite towers the sum keeps the bits of the full
+partition loop.  ``forward_chain``/``reverse_chain``
 fold that combination over a pipeline of programs from either end; both
 directions produce the tower of the full composite.
 
@@ -125,7 +130,9 @@ def compose_towers(outer: DerivativeTower, inner: DerivativeTower) -> Derivative
     n of the result sums, over the integer partitions of n, the derivative of
     ``outer`` of order "number of parts" contracted against one ``inner``
     derivative per part, weighted by the partition's slot count; the result
-    is symmetrized order by order.
+    is symmetrized order by order.  Only the partitions whose factors can be
+    nonzero are evaluated (see :func:`_chain_rule`), so an affine or
+    polynomial factor costs no contraction with its zero components.
     """
     if outer.order != inner.order:
         raise ValueError(
@@ -147,7 +154,7 @@ def compose_towers(outer: DerivativeTower, inner: DerivativeTower) -> Derivative
             t = np.tensordot(t, g[part], axes=([1], [0]))
         return t
 
-    tower = _chain_rule(f[0], inner.tower, term)
+    tower = _chain_rule(f[0], inner.tower, term, _degree(f), _degree(g))
     return DerivativeTower(at=inner.at, tower=tower)
 
 
@@ -163,30 +170,67 @@ def _compose_elementwise(fvals: np.ndarray, inner: MultiTensor) -> MultiTensor:
     """
     g = inner.components
     d = inner.dim_out
+    rows = [c.reshape(d, -1) for c in g]
+    cols = [r[:, None, :] for r in rows]
 
     def term(lam):
-        t = fvals[len(lam)][:, None] * g[lam[0]].reshape(d, -1)
+        t = fvals[len(lam)][:, None] * rows[lam[0]]
         for part in lam[1:]:
-            t = (t[:, :, None] * g[part].reshape(d, 1, -1)).reshape(d, -1)
+            t = (t[:, :, None] * cols[part]).reshape(d, -1)
         return t.reshape((d,) + (inner.dim_in,) * sum(lam))
 
-    return _chain_rule(fvals[0], inner, term)
+    return _chain_rule(fvals[0], inner, term, _degree(fvals), _degree(g))
 
 
-def _chain_rule(value: np.ndarray, inner: MultiTensor, term) -> MultiTensor:
+def _degree(components) -> int:
+    """Index of the last component with a nonzero (or NaN) entry; 0 if none.
+
+    Scans down from the top, so a tower whose last component is nonzero
+    costs one ``any``.  Every component above the degree is exactly zero.
+    """
+    for j in range(len(components) - 1, 0, -1):
+        if components[j].any():
+            return j
+    return 0
+
+
+@lru_cache(maxsize=None)
+def _live_terms(n: int, outer_degree: int, inner_degree: int):
+    """``(partition, weight)`` of the partitions of n whose factors can be nonzero.
+
+    A partition with more parts than ``outer_degree`` reads a zero outer
+    derivative, and one with a part larger than ``inner_degree`` a zero inner
+    component, so its term is zero.
+    """
+    return tuple(
+        (lam, partition_weight(lam))
+        for lam in partitions(n)
+        if lam[0] <= inner_degree and len(lam) <= outer_degree
+    )
+
+
+def _chain_rule(
+    value: np.ndarray, inner: MultiTensor, term, outer_degree: int, inner_degree: int
+) -> MultiTensor:
     """Tower over ``inner``'s input and order: ``value``, then partition sums.
 
     Component n sums ``partition_weight(lam) * term(lam)`` over the integer
     partitions of n and is symmetrized.  With one slot (n = 1) or one input
     dimension there is only one ordering of the slots, so the sum is
     symmetric as it stands and is kept as it is.
+
+    ``outer_degree`` and ``inner_degree`` are the factors' :func:`_degree`;
+    the partitions they rule out (see :func:`_live_terms`) are not evaluated.
+    The result is bitwise the full sum wherever that sum is finite: a skipped
+    term is then all +0 or -0, and the accumulator, which starts at +0 and
+    never becomes -0, is unchanged by adding either.
     """
     d_out, d_in, k = value.shape[0], inner.dim_in, inner.order
     comps = [value]
     for n in range(1, k + 1):
         acc = np.zeros((d_out,) + (d_in,) * n)
-        for lam in partitions(n):
-            acc += partition_weight(lam) * term(lam)
+        for lam, weight in _live_terms(n, outer_degree, inner_degree):
+            acc += term(lam) if weight == 1 else weight * term(lam)
         comps.append(acc if n < 2 or d_in == 1 else _symmetrize_component(acc))
     return MultiTensor(Shape(d_out, d_in, k), comps)
 

@@ -97,6 +97,8 @@ class RationalPoly:
         return acc
 
     def derivative(self, k: int = 1) -> "RationalPoly":
+        if k < 0:
+            raise ValueError("derivative order must be >= 0")
         coeffs = list(self.coeffs)
         for _ in range(k):
             coeffs = [m * c for m, c in enumerate(coeffs)][1:] or [Fraction(0)]

@@ -229,6 +229,19 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", "tensorjet: --order must be >= 0\n")
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--n", ("--m", "3", "--n", "-2")),
+        ("--velocity", ("--m", "3", "--n", "4", "--velocity", "-1")),
+        ("--n", ("--at", "[0]", "--dir", "[1]", "--order", "3", "--n", "-1")),
+        ("--velocity", ("--at", "[0]", "--dir", "[1]", "--order", "3", "--n", "2",
+                        "--velocity", "-3")),
+    ])
+    def test_negative_n_or_velocity_is_usage_error(self, capsys, exp_file, flag, argv):
+        if "--m" not in argv:
+            argv = ("--program", exp_file) + argv
+        code, out, err = run_cli(capsys, "reduce-sum", *argv)
+        assert (code, out, err) == (1, "", f"tensorjet: {flag} must be >= 0\n")
+
     @pytest.mark.parametrize(
         "argv, flag, text",
         [

@@ -6,6 +6,8 @@ import pytest
 from tensorjet import (
     Affine,
     Compose,
+    Constant,
+    ContractionLayer,
     DomainEvalError,
     Elementwise,
     Identity,
@@ -26,12 +28,13 @@ from tensorjet import (
     order_reduce,
     series_eval,
     taylor_series,
+    tensor_network,
     truncate,
 )
 from tensorjet.multitensor import algebra_product, symmetrize
 import tensorjet.operators as operators_module
 from tensorjet.operators import reduction_commutes
-from tensorjet.program import _from_series_scaling
+from tensorjet.program import DerivativeTower, _from_series_scaling
 
 from _gen import (
     fd_hessian,
@@ -265,8 +268,8 @@ class TestDiagonalChainRule:
 
 class TestChainRuleSymmetrizes:
     @staticmethod
-    def _chain_rule_symmetrizing_all(value, inner, term):
-        """Reference: every partition sum passed through the symmetrizer."""
+    def _chain_rule_symmetrizing_all(value, inner, term, outer_degree, inner_degree):
+        """Reference: every partition, skipped or not, summed and symmetrized."""
         d_out, d_in, k = value.shape[0], inner.dim_in, inner.order
         comps = [value]
         for n in range(1, k + 1):
@@ -300,6 +303,113 @@ class TestChainRuleSymmetrizes:
         derivative_tower(Compose(Elementwise(get_primitive("sin"), 2),
                                  Affine([[0.5, 0.2], [0.1, -0.3]], [0.1, 0.0])), [0.3, 0.1], 3)
         assert calls == [(2, 2, 2), (2, 2, 2, 2)]
+
+
+def _chain_rule_every_term(value, inner, term, outer_degree, inner_degree):
+    """The chain rule with no term skipped: every partition of every order."""
+    d_out, d_in, k = value.shape[0], inner.dim_in, inner.order
+    comps = [value]
+    for n in range(1, k + 1):
+        acc = np.zeros((d_out,) + (d_in,) * n)
+        for lam in partitions(n):
+            acc += partition_weight(lam) * term(lam)
+        comps.append(acc if n < 2 or d_in == 1 else operators_module._symmetrize_component(acc))
+    return MultiTensor(Shape(d_out, d_in, k), comps)
+
+
+def _count_terms(monkeypatch):
+    """List that collects the partition of every chain-rule term evaluated."""
+    calls = []
+    chain_rule = operators_module._chain_rule
+
+    def counted(value, inner, term, outer_degree, inner_degree):
+        def counted_term(lam):
+            calls.append(lam)
+            return term(lam)
+
+        return chain_rule(value, inner, counted_term, outer_degree, inner_degree)
+
+    monkeypatch.setattr(operators_module, "_chain_rule", counted)
+    return calls
+
+
+class TestSkippedChainRuleTerms:
+    """Terms with a zero factor are skipped; the towers keep every bit."""
+
+    @staticmethod
+    def _towers(seed):
+        """Towers of programs with affine, constant and polynomial factors, d 1-4, order 1-6."""
+        rng = np.random.default_rng(seed)
+        sin, tanh, pow3 = (get_primitive(name) for name in ("sin", "tanh", "pow3"))
+        for case in range(24):
+            d = 1 + case % 4
+            k = 1 + case % 6
+            v = rng.uniform(-0.6, 0.6, size=d)
+
+            def affine():
+                return Affine(rng.uniform(-0.8, 0.8, (d, d)), rng.uniform(-0.5, 0.5, d))
+
+            quadratic = ContractionLayer(random_multitensor(rng, d, d, 2))
+            constant = Constant(tuple(rng.uniform(-0.5, 0.5, d)), input_dim=d)
+            inner = random_program(rng, d, d, 2)
+            programs = [
+                Compose(Elementwise(sin, d), x)
+                for x in (affine(), Identity(d), constant, quadratic)
+            ]
+            programs += [Compose(affine(), inner), Compose(quadratic, inner),
+                         Compose(Elementwise(pow3, d), inner),
+                         Compose(Elementwise(pow3, d), affine()),
+                         tensor_network([(random_multitensor(rng, d, d, 2), tanh),
+                                         (random_multitensor(rng, d, d, 1), None)])]
+            for p in programs:
+                yield lambda p=p, v=v, k=k: derivative_tower(p, v, k)
+            chain = [Compose(Elementwise(sin, d), affine()),
+                     Compose(quadratic, affine()), affine(), Elementwise(pow3, d)]
+            yield lambda c=chain, v=v, k=k: forward_chain(c, v, k)
+            yield lambda c=chain, v=v, k=k: reverse_chain(c, v, k)
+
+    def test_bitwise_equal_to_every_term(self, monkeypatch):
+        runs = list(self._towers(51))
+        got = [run() for run in runs]
+        monkeypatch.setattr(operators_module, "_chain_rule", _chain_rule_every_term)
+        for run, tower in zip(runs, got):
+            assert all(np.all(np.isfinite(c)) for c in tower.tower.components)
+            assert _bitwise_equal(tower.tower, run().tower)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_elementwise_of_affine_has_one_term_per_order(self, monkeypatch, d):
+        rng = np.random.default_rng(52)
+        p = Compose(Elementwise(get_primitive("sin"), d),
+                    Affine(rng.uniform(-0.8, 0.8, (d, d)), rng.uniform(-0.5, 0.5, d)))
+        calls = _count_terms(monkeypatch)
+        for k in range(1, 7):
+            calls.clear()
+            derivative_tower(p, rng.uniform(-0.6, 0.6, d), k)
+            assert calls == [(1,) * n for n in range(1, k + 1)]
+
+    def test_quadratic_outer_has_terms_of_at_most_two_parts(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        p = Compose(ContractionLayer(random_multitensor(rng, 2, 2, 2)),
+                    Elementwise(get_primitive("sin"), 2))
+        calls = _count_terms(monkeypatch)
+        derivative_tower(p, [0.3, -0.2], 6)
+        assert calls == [lam for n in range(1, 7) for lam in partitions(n) if len(lam) <= 2]
+
+    def test_inner_tower_with_inf_gives_non_finite_tower(self):
+        d, k = 2, 4
+        comps = [np.array([0.1, 0.2]), np.array([[np.inf, 0.5], [0.3, 0.2]])]
+        comps += [np.zeros((d,) + (d,) * j) for j in range(2, k + 1)]
+        inner = DerivativeTower(at=np.zeros(d), tower=MultiTensor(Shape(d, d, k), comps))
+        outers = [Affine([[0.5, 0.2], [0.1, -0.3]], [0.1, 0.0]),
+                  ContractionLayer(random_multitensor(np.random.default_rng(54), d, d, 2)),
+                  Elementwise(get_primitive("pow3"), d)]
+        fvals = np.array([[np.sin(x + r * np.pi / 2) for x in inner.value] for r in range(k + 1)])
+        with np.errstate(invalid="ignore"):
+            towers = [compose_towers(derivative_tower(o, inner.value, k), inner).tower
+                      for o in outers]
+            towers.append(operators_module._compose_elementwise(fvals, inner.tower))
+        for tower in towers:
+            assert not all(np.all(np.isfinite(c)) for c in tower.components[1:])
 
 
 class TestChains:

@@ -143,6 +143,9 @@ class TestRationalPoly:
         dp = p.derivative()
         assert dp.coeffs == (Fraction(1, 2), Fraction(2, 3))
         assert p.derivative(3).degree == -1
+        assert p.derivative(0) == p
+        with pytest.raises(ValueError, match="derivative order must be >= 0"):
+            p.derivative(-1)
 
     def test_evaluation_is_exact(self):
         p = RationalPoly([Fraction(1, 3), 0, Fraction(-2, 7)])
