@@ -18,6 +18,10 @@ Single contraction eats the *last* tensor slot.  An order-0 value cannot be
 contracted; by convention it passes through unchanged, so order-0 components
 represent constant (translation) terms.
 
+A derivative tower is symmetric, so inside the DAG walk it is kept packed:
+one entry per slot orbit (per multi-index), see ``_pack`` and ``_unpack``
+below.  Its dense ``MultiTensor`` is built only at the boundary.
+
 All values are immutable after construction (backing arrays are marked
 read-only); every operation returns a fresh value, so instances are safe to
 share between threads.
@@ -251,7 +255,11 @@ def to_json(w: MultiTensor) -> str:
 
 def from_json(text: str) -> MultiTensor:
     """Inverse of ``to_json``; ValueError unless the dims and order are JSON integers."""
-    obj = json.loads(text)
+    return _from_json_object(json.loads(text))
+
+
+def _from_json_object(obj) -> MultiTensor:
+    """The multi-tensor of an already decoded ``to_json`` object."""
     shape = Shape(obj["dim_out"], obj["dim_in"], obj["order"])
     for name in ("dim_out", "dim_in", "order"):
         value = getattr(shape, name)
@@ -292,7 +300,7 @@ def _symmetrize_component(comp: np.ndarray) -> np.ndarray:
     j = comp.ndim - 1
     if j < 2:
         return comp.copy()
-    rep, orbit, sizes = _orbit_index(comp.shape[1], j)
+    rep, orbit, sizes, _ = _orbit_index(comp.shape[1], j)
     flat = comp.reshape(comp.shape[0], -1)
     if np.array_equal(flat, flat[:, rep]):
         return comp.copy()
@@ -304,21 +312,23 @@ def _symmetrize_component(comp: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _orbit_index(dim_in: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _orbit_index(dim_in: int, j: int) -> tuple[np.ndarray, ...]:
     """Slot-permutation orbits of the flat index space ``(dim_in,)*j``.
 
     Returns, per flat index, the flat index of its sorted representative
-    and a dense orbit id, plus the size of every orbit.  Only integer index
-    data is cached, never tensor values.
+    and a dense orbit id, plus, per orbit, its size and the flat index of
+    its representative.  Orbit ids follow the sorted slot tuples in
+    lexicographic order.  Only integer index data is cached, never tensor
+    values.
     """
     dims = (dim_in,) * j
-    slots = np.indices(dims).reshape(j, -1)
+    slots = np.indices(dims).reshape(j, dim_in**j)
     slots.sort(axis=0)
-    rep = np.ravel_multi_index(tuple(slots), dims)
-    _, orbit, sizes = np.unique(rep, return_inverse=True, return_counts=True)
-    for arr in (rep, orbit, sizes):
+    rep = np.ravel_multi_index(tuple(slots), dims) if j else np.zeros(1, dtype=np.intp)
+    heads, orbit, sizes = np.unique(rep, return_inverse=True, return_counts=True)
+    for arr in (rep, orbit, sizes, heads):
         arr.flags.writeable = False
-    return rep, orbit, sizes
+    return rep, orbit, sizes, heads
 
 
 def _pair_product(ap: np.ndarray, bq: np.ndarray, bilinear: np.ndarray | None) -> np.ndarray:
@@ -328,3 +338,154 @@ def _pair_product(ap: np.ndarray, bq: np.ndarray, bilinear: np.ndarray | None) -
         return flat.reshape(ap.shape + bq.shape[1:])
     t = np.tensordot(bilinear, ap, axes=([1], [0]))  # (d, b_out, p slots)
     return np.tensordot(t, bq, axes=([1], [0]))  # (d, p slots, q slots)
+
+
+# --- packed towers ----------------------------------------------------------------
+#
+# An exactly symmetric tower of order K over d inputs is fixed by one entry
+# per slot orbit: the derivative d^alpha for each multi-index alpha with
+# |alpha| <= K.  Packed, it is one (dim_out, C(d+K, K)) array of those
+# entries, degree by degree (graded order); within degree j the multi-indices
+# follow the orbit ids of ``_orbit_index(d, j)``.  This is the truncated
+# polynomial ring in d variables, i.e. the truncated symmetric tensor
+# algebra, with each orbit stored once (Neidinger, Math. Comp. 74, 2005).
+# The order of degrees up to K is a prefix of the order up to K + 1.
+
+
+def _pack(components, dim_in: int, series: bool = False) -> np.ndarray:
+    """Packed entries of exactly symmetric components: a gather of orbit heads.
+
+    ``components[j]`` has shape ``(dim_out,) + (dim_in,)*j``.  With
+    ``series`` they are in series scaling (component j holds the derivatives
+    divided by j!), and each packed entry is its entry times j!.
+    """
+    d_out = components[0].shape[0]
+    packed = np.concatenate(
+        [c.reshape(d_out, -1)[:, _orbit_index(dim_in, j)[3]] for j, c in enumerate(components)],
+        axis=1,
+    )
+    return packed * _column_factorials(dim_in, len(components) - 1) if series else packed
+
+
+def _unpack(packed: np.ndarray, dim_in: int, order: int, series: bool = False) -> MultiTensor:
+    """The dense tower of packed entries; ``series`` divides component j by j!."""
+    if series:
+        packed = packed / _column_factorials(dim_in, order)
+    return MultiTensor(Shape(packed.shape[0], dim_in, order),
+                       [_component(packed, dim_in, j) for j in range(order + 1)])
+
+
+def _component(packed: np.ndarray, dim_in: int, j: int) -> np.ndarray:
+    """Dense component j of a packed tower, shape ``(dim_out,) + (dim_in,)*j``."""
+    starts = _degree_starts(dim_in, j)
+    block = packed[:, starts[j]:starts[j + 1]]
+    return block[:, _orbit_index(dim_in, j)[1]].reshape((packed.shape[0],) + (dim_in,) * j)
+
+
+@lru_cache(maxsize=None)
+def _column_factorials(dim_in: int, order: int) -> np.ndarray:
+    """|alpha|! for each entry of a packed tower."""
+    starts = _degree_starts(dim_in, order)
+    out = np.repeat([float(math.factorial(j)) for j in range(order + 1)], np.diff(starts))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _degree_starts(dim_in: int, order: int) -> tuple[int, ...]:
+    """Offset of each degree's block in a packed tower, and the total size last."""
+    return tuple(math.comb(dim_in + j - 1, dim_in) for j in range(order + 2))
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    """``[a, b]`` is C(a, b) for 0 <= a, b <= n (int64)."""
+    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for a in range(1, n + 1):
+        table[a, 1:] = table[a - 1, 1:] + table[a - 1, :-1]
+    table.flags.writeable = False
+    return table
+
+
+def _rank(exps: np.ndarray) -> np.ndarray:
+    """Packed position of each multi-index, from its exponents on the last axis.
+
+    Within degree j, sorted slot tuples in lexicographic order are the
+    exponent vectors in descending lexicographic order, so the position
+    counts the multi-indices of lower degree, C(j + d - 1, d), plus, for
+    each variable i < d - 1, those of degree j that agree before i and
+    exceed alpha_i there: C(r_i + d - i - 2, d - i - 1), r_i the degree
+    left after variable i.
+    """
+    d = exps.shape[-1]
+    deg = exps.sum(axis=-1)
+    left = deg[..., None] - np.cumsum(exps, axis=-1)[..., :-1]
+    i = np.arange(d - 1)
+    table = _binomials(int(deg.max(initial=0)) + d)
+    return table[deg + d - 1, d] + table[left + d - 2 - i, d - 1 - i].sum(axis=-1)
+
+
+def _monomials(dim_in: int, order: int) -> np.ndarray:
+    """Exponents of every multi-index of degree <= ``order``, in packed order."""
+    blocks = [np.zeros((1, dim_in), dtype=np.int64)]
+    for _ in range(order):
+        grown = (blocks[-1][:, None, :] + np.eye(dim_in, dtype=np.int64)).reshape(-1, dim_in)
+        _, first = np.unique(_rank(grown), return_index=True)
+        blocks.append(grown[first])
+    return np.concatenate(blocks)
+
+
+@lru_cache(maxsize=None)
+def _pure_index(dim_in: int, order: int) -> np.ndarray:
+    """``[r, i]``: packed position of the multi-index r * e_i."""
+    exps = np.arange(order + 1)[:, None, None] * np.eye(dim_in, dtype=np.int64)
+    out = _rank(exps)
+    out.flags.writeable = False
+    return out
+
+
+# (dim_in, degree, or None for no bound) -> the deepest pair table built
+_PAIR_TABLES = {}
+
+
+def _pair_table(dim_in: int, order: int, degree: int):
+    """Leibniz table of a truncated product ``s * h``, s of degree 1 to ``degree``.
+
+    Returns ``(ia, ib, weight, heads, cuts)`` over the pairs of packed
+    positions (a, b) with 1 <= |a| <= ``degree`` >= 1 and |a + b| <= some
+    order >= ``order``, sorted by their target c = a + b and then by a.
+    Entry c of the product, for |c| >= 1, is the sum over its pairs of
+    ``weight * s[a] * h[b]``, with weight prod_i C(c_i, a_i) (Leibniz), and
+    its pairs start at ``heads[c - 1]``; every such c has a pair.  The pairs
+    with |c| <= n are a prefix, the table of order n: ``cuts[n]`` counts them
+    and their targets.  So one table, the deepest asked for, serves every
+    order; only integer index data and integer weights are kept.
+    """
+    key = (dim_in, degree if degree < order else None)
+    table = _PAIR_TABLES.get(key)
+    if table is None or len(table[4]) <= order:
+        table = _PAIR_TABLES[key] = _build_pair_table(dim_in, order, degree)
+    return table
+
+
+def _build_pair_table(dim_in: int, order: int, degree: int):
+    exps = _monomials(dim_in, order)
+    starts = _degree_starts(dim_in, order)
+    binom = _binomials(order)
+    blocks = []  # one per degree pair (|a|, |b|), so temporaries stay small
+    for p in range(1, min(degree, order) + 1):
+        for q in range(order - p + 1):
+            a = np.arange(starts[p], starts[p + 1]).repeat(starts[q + 1] - starts[q])
+            b = np.tile(np.arange(starts[q], starts[q + 1]), starts[p + 1] - starts[p])
+            c = exps[a] + exps[b]
+            blocks.append((a, b, _rank(c), binom[c, exps[a]].prod(axis=1)))
+    ia, ib, ic, weight = (np.concatenate(column) for column in zip(*blocks))
+    by_target = np.argsort(ic, kind="stable")
+    ia, ib, ic = ia[by_target], ib[by_target], ic[by_target]
+    weight = weight[by_target].astype(np.float64)
+    heads = np.searchsorted(ic, np.arange(1, exps.shape[0]))
+    for arr in (ia, ib, weight, heads):
+        arr.flags.writeable = False
+    cuts = tuple((int(np.searchsorted(ic, size)), size - 1) for size in starts[1:])
+    return ia, ib, weight, heads, cuts

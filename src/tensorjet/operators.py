@@ -16,14 +16,11 @@ partition loop.  ``forward_chain``/``reverse_chain``
 fold that combination over a pipeline of programs from either end; both
 directions produce the tower of the full composite.
 
-An elementwise outer stage has a dense tower that is zero off its diagonal,
-so ``Compose(Elementwise(f), inner)`` towers use the diagonal form of the
-same rule (the univariate Faa di Bruno formula; Griewank, Utke & Walther,
-Math. Comp. 69, 2000).  Row i of component n is the sum over partitions
-lambda of n of ``w_lambda * f^(|lambda|)(inner_i) * g[lambda_1]_i (x)
-g[lambda_2]_i (x) ...``, where g is the inner tower, multiplied in the
-order of the dense contraction, so both paths give the same bits without
-the dense d^(n+1) outer tensor ever being formed.
+These operators work on dense towers given by the caller.  Inside the DAG
+walk towers are packed (see :mod:`tensorjet.program`), and an elementwise
+stage is composed by truncated Horner there; the partition loop serves
+``compose_towers`` alone, which the walk calls for a ``Compose`` node whose
+outer stage is not elementwise.
 
 ``order_reduce`` reinterprets a tower one order down, turning the derivative
 itself into a program value: the first tensor slot of each component is
@@ -156,30 +153,6 @@ def compose_towers(outer: DerivativeTower, inner: DerivativeTower) -> Derivative
 
     tower = _chain_rule(f[0], inner.tower, term, _degree(f), _degree(g))
     return DerivativeTower(at=inner.at, tower=tower)
-
-
-def _compose_elementwise(fvals: np.ndarray, inner: MultiTensor) -> MultiTensor:
-    """Tower of ``Elementwise(fn) . inner`` by the diagonal chain rule.
-
-    ``fvals[r, i]`` is the r-th derivative of ``fn`` at ``inner.value[i]``,
-    for r = 0..inner.order.  Row i of component n sums, over the integer
-    partitions of n, ``w * ((fvals[m, i] * g_l1[i]) (x) g_l2[i] (x) ...)``
-    with m the number of parts, without forming the dense outer tower.  The
-    products run in the order of the dense contraction in
-    :func:`compose_towers`, so the result is bitwise the same.
-    """
-    g = inner.components
-    d = inner.dim_out
-    rows = [c.reshape(d, -1) for c in g]
-    cols = [r[:, None, :] for r in rows]
-
-    def term(lam):
-        t = fvals[len(lam)][:, None] * rows[lam[0]]
-        for part in lam[1:]:
-            t = (t[:, :, None] * cols[part]).reshape(d, -1)
-        return t.reshape((d,) + (inner.dim_in,) * sum(lam))
-
-    return _chain_rule(fvals[0], inner, term, _degree(fvals), _degree(g))
 
 
 def _degree(components) -> int:

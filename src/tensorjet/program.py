@@ -10,8 +10,17 @@ point, packed into one :class:`~tensorjet.multitensor.MultiTensor`.
 Towers are propagated forward through the DAG: every node combines its
 children's towers using only its own local derivative rule (closed forms for
 affine/polynomial layers, per-order derivative sequences for elementwise
-primitives, a Leibniz product expansion, and partition-sum composition), so
-requesting a higher order never changes the lower-order components.
+primitives, a Leibniz product expansion, truncated Horner for an elementwise
+stage and partition-sum composition for any other), so requesting a higher
+order never changes the lower-order components.  Inside the walk a tower is
+packed: a symmetric tower stores each slot orbit once, as the derivative
+d^alpha for each multi-index alpha of degree <= order (the truncated
+polynomial ring; Neidinger, Math. Comp. 74, 2005), so every tower is exactly
+symmetric by construction.  ``derivative_tower`` unpacks the root's tower to
+dense components once, at the end; product, polynomial-layer and
+extracted-derivative nodes, and compositions whose outer stage is not
+elementwise, apply the dense operators of ``multitensor`` and ``operators``
+and convert at their boundary.
 
 ``jet`` pushes a univariate Taylor series through the DAG instead: given the
 coefficients of an input curve x(t) truncated at t^K, it returns those of
@@ -53,8 +62,12 @@ import numpy as np
 
 from .multitensor import (
     MultiTensor,
-    Shape,
     ShapeMismatchError,
+    _component,
+    _pack,
+    _pair_table,
+    _pure_index,
+    _unpack,
     algebra_product,
     eval_polynomial,
     symmetrize,
@@ -305,7 +318,7 @@ def derivative_tower(program: Program, v, order: int) -> DerivativeTower:
         raise ShapeMismatchError(
             f"input must have shape ({program.dim_in},), got {v.shape}"
         )
-    return DerivativeTower(at=v, tower=_walk(program, v, order))
+    return DerivativeTower(at=v, tower=_unpack(_walk(program, v, order), program.dim_in, order))
 
 
 def jet(program: Program, series) -> np.ndarray:
@@ -392,7 +405,10 @@ def _tanh_poly(j: int) -> tuple[int, ...]:
 
 
 def _tanh_seq(j, x):
-    t = math.tanh(x)
+    return _tanh_poly_at(j, math.tanh(x))
+
+
+def _tanh_poly_at(j, t):
     acc = 0.0
     for c in reversed(_tanh_poly(j)):
         acc = acc * t + c
@@ -466,8 +482,36 @@ def _apply_prim(prim: Primitive, j: int, x: float, path: str) -> float:
         ) from None
 
 
+def _sin_orders(k, x):
+    s, c = math.sin(x), math.cos(x)
+    cycle = (s, c, -s, -c)
+    return [cycle[j % 4] for j in range(k + 1)]
+
+
+def _tanh_orders(k, x):
+    t = math.tanh(x)
+    return [_tanh_poly_at(j, t) for j in range(k + 1)]
+
+
+# Derivatives of orders 0..k at x of the built-in sequences whose every
+# order calls the same transcendental: one call per entry, the same bits as
+# ``deriv_seq(j, x)`` for each j.  Other primitives are called per order.
+_ALL_ORDERS = {
+    _exp_seq: lambda k, x: [math.exp(x)] * (k + 1),
+    _sin_seq: _sin_orders,
+    _cos_seq: lambda k, x: _sin_orders(k + 1, x)[1:],
+    _tanh_seq: _tanh_orders,
+}
+
+
 def _prim_derivatives(prim: Primitive, v: np.ndarray, k: int, path: str) -> np.ndarray:
     """``out[r, i]`` is the r-th derivative of ``prim`` at ``v[i]``, r = 0..k."""
+    orders = _ALL_ORDERS.get(prim.deriv_seq)
+    if orders is not None:
+        try:
+            return np.array([orders(k, float(x)) for x in v], dtype=np.float64).T
+        except (ArithmeticError, ValueError):
+            pass  # the loop below raises the error of the first failing call
     return np.array(
         [[_apply_prim(prim, r, x, path) for x in v] for r in range(k + 1)],
         dtype=np.float64,
@@ -593,53 +637,76 @@ def _compose_value(p, v, k, path):
 
 def _extracted_value(p, v, k, path):
     tower = yield p.inner, v, p.k, path + "/deriv.inner"
-    return tower.component(p.k).ravel().copy()
+    return _component(tower, p.dim_in, p.k).ravel()
 
 
 # --- derivative towers ----------------------------------------------------------
+#
+# A tower rule returns the node's tower packed (see ``multitensor._pack``):
+# one ``(dim_out, C(dim_in+k, k))`` array of derivatives, one per
+# multi-index in graded order, so every tower is exactly symmetric by
+# construction.  Identity, constant, affine, elementwise and sum nodes build
+# or add packed arrays directly, and an elementwise stage over any inner node
+# runs truncated Horner on the packed inner tower.  Product, polynomial-layer
+# and extracted-derivative nodes, and compositions with any other outer node,
+# apply their dense operators and convert at their boundary.
 
 def _identity_tower(p, v, k, path):
-    comps = _zero_components(p.dim, p.dim, k)
-    comps[0] = v.copy()
+    out = np.zeros((p.dim, math.comb(p.dim + k, k)))
+    out[:, 0] = v
     if k >= 1:
-        comps[1] = np.eye(p.dim)
-    return MultiTensor(Shape(p.dim, p.dim, k), comps)
+        out[:, 1:p.dim + 1] = np.eye(p.dim)
+    return out
 
 
 def _constant_tower(p, v, k, path):
-    comps = _zero_components(p.dim_out, p.dim_in, k)
-    comps[0] = np.array(p.value)
-    return MultiTensor(Shape(p.dim_out, p.dim_in, k), comps)
+    out = np.zeros((p.dim_out, math.comb(p.dim_in + k, k)))
+    out[:, 0] = p.value
+    return out
 
 
 def _affine_tower(p, v, k, path):
-    comps = _zero_components(p.dim_out, p.dim_in, k)
-    comps[0] = p.matrix @ v + p.offset
+    out = np.zeros((p.dim_out, math.comb(p.dim_in + k, k)))
+    out[:, 0] = p.matrix @ v + p.offset
     if k >= 1:
-        comps[1] = p.matrix.copy()
-    return MultiTensor(Shape(p.dim_out, p.dim_in, k), comps)
+        out[:, 1:p.dim_in + 1] = p.matrix
+    return out
 
 
 def _layer_tower(p, v, k, path):
-    return _contraction_layer_tower(p.weights, v, k)
+    # The polynomial map only sees the symmetric part of each stored tensor,
+    # so derivatives follow the falling-factorial rule on symmetrized weights.
+    w = p.weights
+    sym = symmetrize(w)
+    comps = _zero_components(w.dim_out, w.dim_in, min(w.order, k))
+    for j in range(w.order + 1):
+        term = sym.components[j]
+        top = min(j, k)
+        for _ in range(j - top):
+            term = np.tensordot(term, v, axes=([-1], [0]))
+        for r in range(top, -1, -1):
+            # term == sym_j contracted with v in its last j - r slots
+            comps[r] = comps[r] + math.perm(j, r) * term
+            if r > 0:
+                term = np.tensordot(term, v, axes=([-1], [0]))
+    out = np.zeros((w.dim_out, math.comb(w.dim_in + k, k)))
+    low = _pack(comps, w.dim_in)  # the components above the layer's order are zero
+    out[:, :low.shape[1]] = low
+    return out
 
 
 def _elementwise_tower(p, v, k, path):
+    # coordinate i depends on input i alone: f^(r)(v_i) at multi-index r*e_i
     d = p.dim
-    fvals = _prim_derivatives(p.fn, v, k, path)
-    comps = [np.zeros((d,) + (d,) * r) for r in range(k + 1)]
-    for r in range(k + 1):
-        comps[r][(np.arange(d),) * (r + 1)] = fvals[r]
-    return MultiTensor(Shape(d, d, k), comps)
+    out = np.zeros((d, math.comb(d + k, k)))
+    out[np.arange(d), _pure_index(d, k)] = _prim_derivatives(p.fn, v, k, path)
+    return out
 
 
 def _sum_tower(p, v, k, path):
     out = yield p.children[0], v, k, path + "/sum[0]"
     for i, child in enumerate(p.children[1:], start=1):
-        nxt = yield child, v, k, f"{path}/sum[{i}]"
-        out = MultiTensor(
-            out.shape, [a + b for a, b in zip(out.components, nxt.components)]
-        )
+        out = out + (yield child, v, k, f"{path}/sum[{i}]")
     return out
 
 
@@ -647,35 +714,79 @@ def _product_tower(p, v, k, path):
     towers = []
     for i, child in enumerate(p.children):
         towers.append((yield child, v, k, f"{path}/prod[{i}]"))
-    acc = _to_series_scaling(towers[0])
+    scaled = {}  # series scaling of each child; one reached twice is unpacked once
+    for t in towers:
+        if id(t) not in scaled:
+            scaled[id(t)] = _unpack(t, p.dim_in, k, series=True)
+    acc = scaled[id(towers[0])]
     for i, t in enumerate(towers[1:]):
         bilinear = p.bilinear if i == len(towers) - 2 else None
-        acc = algebra_product(acc, _to_series_scaling(t), bilinear, max_order=k)
-    acc = symmetrize(acc)
-    return _from_series_scaling(acc)
+        acc = algebra_product(acc, scaled[id(t)], bilinear, max_order=k)
+    return _pack(symmetrize(acc).components, p.dim_in, series=True)
 
 
 def _compose_tower(p, v, k, path):
-    from .operators import _compose_elementwise, compose_towers
-
     inner = yield p.inner, v, k, path + "/compose.inner"
+    mid = inner[:, 0].copy()
     if isinstance(p.outer, Elementwise):
-        # Diagonal chain rule: the dense outer tower is zero off its diagonal.
-        fvals = _prim_derivatives(p.outer.fn, inner.value, k, path + "/compose.outer")
-        return _compose_elementwise(fvals, inner)
-    outer = yield p.outer, inner.value, k, path + "/compose.outer"
-    return compose_towers(
-        DerivativeTower(at=inner.value, tower=outer), DerivativeTower(at=v, tower=inner)
-    ).tower
+        fvals = _prim_derivatives(p.outer.fn, mid, k, path + "/compose.outer")
+        return _horner(fvals, inner, p.dim_in, _tower_degree(p.inner, k))
+    from .operators import compose_towers
+
+    outer = yield p.outer, mid, k, path + "/compose.outer"
+    return _pack(compose_towers(
+        DerivativeTower(at=mid, tower=_unpack(outer, p.outer.dim_in, k)),
+        DerivativeTower(at=v, tower=_unpack(inner, p.dim_in, k)),
+    ).tower.components, p.dim_in)
+
+
+def _horner(fvals: np.ndarray, inner: np.ndarray, dim_in: int, degree: int) -> np.ndarray:
+    """Packed tower of f(g) from ``fvals[r, i]`` = f^(r)(g_i(v)) and g's packed tower.
+
+    Truncated Horner, f(g0 + s) = sum_r f^(r)(g0)/r! s^r with s = g - g0,
+    g of ``degree`` at most: the step for r needs only degrees up to k - r,
+    a prefix in graded order, and multiplies by s over the prefix of the
+    pair table that reaches that degree.  Each entry is computed the same way
+    for every k that holds it, so a deeper tower leaves the lower entries
+    bitwise unchanged.
+    """
+    k = fvals.shape[0] - 1
+    coeffs = fvals / _factorials(k)[:, None]
+    if degree == 0:  # g is constant
+        out = np.zeros((fvals.shape[1], math.comb(dim_in + k, k)))
+        out[:, 0] = coeffs[0]
+        return out
+    h = coeffs[k][:, None]
+    ia, ib, weight, heads, cuts = _pair_table(dim_in, k, degree)
+    s = inner[:, ia[:cuts[k][0]]] * weight[:cuts[k][0]]
+    for r in range(k - 1, -1, -1):
+        pairs, targets = cuts[k - r]
+        sums = np.add.reduceat(s[:, :pairs] * h[:, ib[:pairs]], heads[:targets], axis=1)
+        sums += 0.0  # a sum of -0 terms is +0, as in a sum that starts at +0
+        h = np.concatenate((coeffs[r][:, None], sums), axis=1)
+    return h
+
+
+def _tower_degree(node: Program, k: int) -> int:
+    """Degree bound of ``node``'s order-k tower from its type alone, at any point."""
+    kind = type(node)
+    if kind is Constant:
+        return 0
+    if kind is Affine or kind is Identity:
+        return min(1, k)
+    if kind is ContractionLayer:
+        return min(node.weights.order, k)
+    return k
 
 
 def _extracted_tower(p, v, k, path):
     from .operators import order_reduce
 
-    deep = DerivativeTower(at=v, tower=(yield p.inner, v, k + p.k, path + "/deriv.inner"))
+    deep = yield p.inner, v, k + p.k, path + "/deriv.inner"
+    deep = DerivativeTower(at=v, tower=_unpack(deep, p.dim_in, k + p.k))
     for _ in range(p.k):
         deep = order_reduce(deep)
-    return deep.tower
+    return _pack(deep.tower.components, p.dim_in)
 
 
 # --- jets ------------------------------------------------------------------------
@@ -734,7 +845,7 @@ def _product_jet(p, x, k, path):
 def _extracted_jet(p, x, k, path):
     # the node's own tower at x0 is its Taylor polynomial in s = x - x0
     K = x.shape[1] - 1
-    tower = yield p, x[:, 0].copy(), K, path
+    tower = _unpack((yield p, x[:, 0].copy(), K, path), p.dim_in, K)
     s = x.copy()
     s[:, 0] = 0.0
     return _contract_jet([c / f for c, f in zip(tower.components, _factorials(K))], s)
@@ -840,33 +951,3 @@ def structurally_equal(a: Program, b: Program) -> bool:
 
 def _zero_components(d_out: int, d_in: int, k: int) -> list[np.ndarray]:
     return [np.zeros((d_out,) + (d_in,) * j) for j in range(k + 1)]
-
-
-def _contraction_layer_tower(w: MultiTensor, v: np.ndarray, k: int) -> MultiTensor:
-    # The polynomial map only sees the symmetric part of each stored tensor,
-    # so derivatives follow the falling-factorial rule on symmetrized weights.
-    sym = symmetrize(w)
-    comps = _zero_components(w.dim_out, w.dim_in, k)
-    for j in range(w.order + 1):
-        term = sym.components[j]
-        top = min(j, k)
-        for _ in range(j - top):
-            term = np.tensordot(term, v, axes=([-1], [0]))
-        for r in range(top, -1, -1):
-            # term == sym_j contracted with v in its last j - r slots
-            comps[r] = comps[r] + math.perm(j, r) * term
-            if r > 0:
-                term = np.tensordot(term, v, axes=([-1], [0]))
-    return MultiTensor(Shape(w.dim_out, w.dim_in, k), comps)
-
-
-def _to_series_scaling(t: MultiTensor) -> MultiTensor:
-    return MultiTensor(
-        t.shape, [c / math.factorial(j) for j, c in enumerate(t.components)]
-    )
-
-
-def _from_series_scaling(t: MultiTensor) -> MultiTensor:
-    return MultiTensor(
-        t.shape, [c * math.factorial(j) for j, c in enumerate(t.components)]
-    )

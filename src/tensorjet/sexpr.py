@@ -123,14 +123,14 @@ class _Cursor:
         return value
 
     def layer_payload(self) -> multitensor.MultiTensor:
-        """Consume one JSON object and decode its multi-tensor."""
+        """Consume one JSON object and build its multi-tensor; the text is decoded once."""
         self.skip_ws()
         if self.peek() != "{":
             self.fail(f"expected '{{', found {self.found()}")
         start = self.pos
         try:
-            self.pos = _JSON.raw_decode(self.text, start)[1]
-            weights = multitensor.from_json(self.text[start:self.pos])
+            obj, self.pos = _JSON.raw_decode(self.text, start)
+            weights = multitensor._from_json_object(obj)
         except json.JSONDecodeError as exc:
             self.fail(f"bad JSON payload: {exc.msg}", start)
         except KeyError as exc:

@@ -31,10 +31,10 @@ from tensorjet import (
     tensor_network,
     truncate,
 )
-from tensorjet.multitensor import algebra_product, symmetrize
+from tensorjet.multitensor import _pack, _unpack, algebra_product, symmetrize
 import tensorjet.operators as operators_module
 from tensorjet.operators import reduction_commutes
-from tensorjet.program import DerivativeTower, _from_series_scaling
+from tensorjet.program import DerivativeTower, _horner
 
 from _gen import (
     fd_hessian,
@@ -216,6 +216,14 @@ class TestDiagonalChainRule:
 
     @pytest.mark.parametrize("name", DIAGONAL_PRIMS)
     def test_bitwise_equal_to_dense_outer_tower(self, name):
+        """Horner on the packed inner tower against ``compose_towers``.
+
+        The two sum the same terms in different orders, so they agree to
+        1e-12 of max(1, |component|), not bit for bit: over these cases the
+        largest gap is 3.9e-13 (reciprocal, order 6), where the dense loop
+        loses digits to cancellation among large terms.  The tower is
+        exactly symmetric and finite.
+        """
         prim = get_primitive(name)
         for inner, v, k in self._cases(name, 41):
             d = inner.dim_out
@@ -225,7 +233,9 @@ class TestDiagonalChainRule:
             dense = compose_towers(
                 derivative_tower(outer, inner_tower.value, k), inner_tower
             )
-            assert _bitwise_equal(got.tower, dense.tower)
+            for a, b in zip(got.tower.components, dense.tower.components):
+                assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(b))))
+            assert got.tower.is_symmetric(tol=0.0)
             assert all(np.all(np.isfinite(c)) for c in got.tower.components)
 
     @pytest.mark.parametrize("name", DIAGONAL_PRIMS)
@@ -300,9 +310,10 @@ class TestChainRuleSymmetrizes:
         sin = Elementwise(get_primitive("sin"))
         derivative_tower(Compose(sin, Compose(sin, Affine([[0.5]], [0.1]))), [0.3], 6)
         assert calls == []
+        # an elementwise stage is packed Horner, symmetric by construction
         derivative_tower(Compose(Elementwise(get_primitive("sin"), 2),
                                  Affine([[0.5, 0.2], [0.1, -0.3]], [0.1, 0.0])), [0.3, 0.1], 3)
-        assert calls == [(2, 2, 2), (2, 2, 2, 2)]
+        assert calls == []
 
 
 def _chain_rule_every_term(value, inner, term, outer_degree, inner_degree):
@@ -379,12 +390,14 @@ class TestSkippedChainRuleTerms:
     @pytest.mark.parametrize("d", [1, 3])
     def test_elementwise_of_affine_has_one_term_per_order(self, monkeypatch, d):
         rng = np.random.default_rng(52)
-        p = Compose(Elementwise(get_primitive("sin"), d),
-                    Affine(rng.uniform(-0.8, 0.8, (d, d)), rng.uniform(-0.5, 0.5, d)))
+        outer = Elementwise(get_primitive("sin"), d)
+        affine = Affine(rng.uniform(-0.8, 0.8, (d, d)), rng.uniform(-0.5, 0.5, d))
         calls = _count_terms(monkeypatch)
         for k in range(1, 7):
+            inner = derivative_tower(affine, rng.uniform(-0.6, 0.6, d), k)
+            outer_tower = derivative_tower(outer, inner.value, k)
             calls.clear()
-            derivative_tower(p, rng.uniform(-0.6, 0.6, d), k)
+            compose_towers(outer_tower, inner)
             assert calls == [(1,) * n for n in range(1, k + 1)]
 
     def test_quadratic_outer_has_terms_of_at_most_two_parts(self, monkeypatch):
@@ -407,7 +420,8 @@ class TestSkippedChainRuleTerms:
         with np.errstate(invalid="ignore"):
             towers = [compose_towers(derivative_tower(o, inner.value, k), inner).tower
                       for o in outers]
-            towers.append(operators_module._compose_elementwise(fvals, inner.tower))
+            packed = _horner(fvals, _pack(inner.tower.components, d), d, k)
+            towers.append(_unpack(packed, d, k))
         for tower in towers:
             assert not all(np.all(np.isfinite(c)) for c in tower.components[1:])
 
