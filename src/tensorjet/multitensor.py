@@ -89,6 +89,15 @@ class MultiTensor:
         self.shape = shape
         self.components = tuple(frozen)
 
+    @classmethod
+    def _owning(cls, shape: Shape, components) -> MultiTensor:
+        """A multi-tensor of fresh float64 arrays the engine built: frozen in place, not copied."""
+        self = cls.__new__(cls)
+        self.shape, self.components = shape, tuple(components)
+        for comp in self.components:
+            comp.flags.writeable = False
+        return self
+
     @property
     def dim_out(self) -> int:
         return self.shape.dim_out
@@ -371,15 +380,14 @@ def _unpack(packed: np.ndarray, dim_in: int, order: int, series: bool = False) -
     """The dense tower of packed entries; ``series`` divides component j by j!."""
     if series:
         packed = packed / _column_factorials(dim_in, order)
-    return MultiTensor(Shape(packed.shape[0], dim_in, order),
-                       [_component(packed, dim_in, j) for j in range(order + 1)])
+    return MultiTensor._owning(Shape(packed.shape[0], dim_in, order),
+                               [_component(packed, dim_in, j) for j in range(order + 1)])
 
 
 def _component(packed: np.ndarray, dim_in: int, j: int) -> np.ndarray:
-    """Dense component j of a packed tower, shape ``(dim_out,) + (dim_in,)*j``."""
-    starts = _degree_starts(dim_in, j)
-    block = packed[:, starts[j]:starts[j + 1]]
-    return block[:, _orbit_index(dim_in, j)[1]].reshape((packed.shape[0],) + (dim_in,) * j)
+    """Dense component j of a packed tower, shape ``(dim_out,) + (dim_in,)*j``, C order."""
+    block = packed[:, _degree_starts(dim_in, j)[j]:]
+    return block.take(_orbit_index(dim_in, j)[1], axis=1).reshape((-1,) + (dim_in,) * j)
 
 
 @lru_cache(maxsize=None)
@@ -489,3 +497,73 @@ def _build_pair_table(dim_in: int, order: int, degree: int):
         arr.flags.writeable = False
     cuts = tuple((int(np.searchsorted(ic, size)), size - 1) for size in starts[1:])
     return ia, ib, weight, heads, cuts
+
+
+def _times(s: np.ndarray, h: np.ndarray, ib: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Truncated products s * h on the last axis: ``s`` holds ``weight * s[a]`` per pair."""
+    terms = h[..., ib]
+    terms *= s
+    return np.add.reduceat(terms, heads, axis=-1)  # callers turn -0 sums into +0 at the end
+
+
+@lru_cache(maxsize=None)
+def _horner_steps(dim_in: int, k: int, degree: int):
+    """``ia``, weights and, per step i (degree i times s up to degree i + 1), ``(ib, heads)``."""
+    ia, ib, weight, heads, cuts = _pair_table(dim_in, k, degree)
+    steps = tuple((ib[:cuts[i + 1][0]], heads[:cuts[i + 1][1]]) for i in range(k))
+    return ia[:cuts[k][0]], weight[:cuts[k][0]], steps
+
+
+def _substitute(f: np.ndarray, g: np.ndarray, dim_in: int, order: int) -> np.ndarray:
+    """Packed tower of f(g) from the packed towers of f at g0 and of g, to ``order``.
+
+    f(g0 + delta) = sum c_alpha delta^alpha, c_alpha = d^alpha f / alpha!, in
+    nested form: h_alpha = c_alpha + sum of delta_i * h_(alpha + e_i) over the
+    children of alpha (i at least alpha's last variable), from f's degree down
+    to h_0.  Degree j needs h up to degree ``order - j``; each product is a
+    Horner step, so an elementwise f gets ``program._horner``'s bits.
+    """
+    d_out, d = f.shape[0], g.shape[0]
+    degree = _packed_degree(f, d, order)
+    out = np.zeros((d_out, g.shape[1]))
+    if degree:
+        starts, sizes = _degree_starts(d, degree), _degree_starts(dim_in, order)
+        plan, factorials = _nest_plan(d, degree)
+        coeffs = f[:, :starts[-1]] / factorials
+        ia, weight, steps = _horner_steps(dim_in, order, order)
+        s = g[:, ia] * weight  # delta = g - g0: no pair reads the value column
+        var, first = plan[-1]
+        p = coeffs[:, starts[degree]:, None] * g[var, :sizes[order - degree + 2]]
+        for j in range(degree - 1, -1, -1):
+            h = np.add.reduceat(p, first, axis=1)
+            h[:, :, 0] = coeffs[:, starts[j]:starts[j + 1]]  # not the products' value column
+            if j:
+                var, first = plan[j - 1]
+                ib, heads = steps[order - j]
+                p = np.zeros((d_out, var.size, heads.size + 1))
+                rows = max(1, (1 << 15) // (d_out * ib.size))  # bounds the temporaries
+                for lo in range(0, var.size, rows):
+                    at = slice(lo, lo + rows)
+                    p[:, at, 1:] = _times(s[var[at], :ib.size], h[:, at], ib, heads)
+        out = h[:, 0] + 0.0  # a sum of -0 terms is +0, as in a sum that starts at +0
+    out[:, 0] = f[:, 0]
+    return out
+
+
+def _packed_degree(packed: np.ndarray, dim_in: int, order: int) -> int:
+    """The last degree whose block has a nonzero (or NaN) entry; 0 if none."""
+    starts = _degree_starts(dim_in, order)
+    return next((j for j in range(order, 0, -1) if packed[:, starts[j]:starts[j + 1]].any()), 0)
+
+
+@lru_cache(maxsize=None)
+def _nest_plan(dim: int, degree: int):
+    """Per degree j = 1..degree, ``(var, first)``: each multi-index's last variable and
+    where the (contiguous) children of each one of degree j - 1 start; and alpha!."""
+    exps, starts = _monomials(dim, degree), _degree_starts(dim, degree)
+    var = dim - 1 - (exps[:, ::-1] > 0).argmax(axis=1)
+    parent = _rank(exps[1:] - np.eye(dim, dtype=np.int64)[var[1:]])  # parent[a - 1] of a >= 1
+    plan = tuple((var[starts[j]:starts[j + 1]], np.searchsorted(
+        parent[starts[j] - 1:starts[j + 1] - 1], np.arange(starts[j - 1], starts[j])))
+        for j in range(1, degree + 1))
+    return plan, np.array([math.prod(map(math.factorial, e)) for e in exps.tolist()], float)

@@ -6,21 +6,11 @@ evaluating the series at step ``h`` and direction ``v`` approximates the
 program at the shifted argument ``v0 + h*v``.
 
 ``compose_towers`` combines the derivative towers of two programs into the
-tower of their composition, summing one contraction term per integer
-partition (the higher-order chain rule).  A factor of finite degree, such as
-an affine map or a polynomial layer, has exactly zero components above that
-degree, so only the partitions that read none of them are evaluated: no more
-parts than the outer degree and no part above the inner degree.  Each
-skipped term is zero, so on finite towers the sum keeps the bits of the full
-partition loop.  ``forward_chain``/``reverse_chain``
-fold that combination over a pipeline of programs from either end; both
-directions produce the tower of the full composite.
-
-These operators work on dense towers given by the caller.  Inside the DAG
-walk towers are packed (see :mod:`tensorjet.program`), and an elementwise
-stage is composed by truncated Horner there; the partition loop serves
-``compose_towers`` alone, which the walk calls for a ``Compose`` node whose
-outer stage is not elementwise.
+tower of their composition by polynomial substitution in the truncated
+polynomial ring, one packed entry per multi-index, so the result is exactly
+symmetric.  The DAG walk calls it for a ``Compose`` node whose outer stage is
+not elementwise; ``forward_chain``/``reverse_chain`` fold it over a pipeline
+from either end, and both directions produce the tower of the full composite.
 
 ``order_reduce`` reinterprets a tower one order down, turning the derivative
 itself into a program value: the first tensor slot of each component is
@@ -40,10 +30,13 @@ import numpy as np
 from .multitensor import (
     MultiTensor,
     Shape,
+    _pack,
+    _substitute,
+    _unpack,
     eval_polynomial,
     truncate,
 )
-from .multitensor import _symmetrize_component
+from .multitensor import _symmetrize_component  # noqa: F401  a site of bench/spans.py REQUIRED_SITES
 from .program import DerivativeTower, Program, derivative_tower
 
 _BASE_TOL = 1e-9  # relative tolerance on the base point shared by composed towers
@@ -123,89 +116,26 @@ def compose_towers(outer: DerivativeTower, inner: DerivativeTower) -> Derivative
     """Derivative tower of ``outer . inner`` from the two factors' towers.
 
     ``outer`` must have been expanded at the value of ``inner`` (to a relative
-    ``_BASE_TOL``) and both towers must share the truncation order.  Component
-    n of the result sums, over the integer partitions of n, the derivative of
-    ``outer`` of order "number of parts" contracted against one ``inner``
-    derivative per part, weighted by the partition's slot count; the result
-    is symmetrized order by order.  Only the partitions whose factors can be
-    nonzero are evaluated (see :func:`_chain_rule`), so an affine or
-    polynomial factor costs no contraction with its zero components.
+    ``_BASE_TOL``) and both towers must share the truncation order.  Both are
+    read packed, one entry per slot orbit (every :func:`derivative_tower` is
+    exactly symmetric), and substituted: the sum over multi-indices alpha of
+    d^alpha outer / alpha! * delta^alpha, delta the inner tower less its value.
     """
     if outer.order != inner.order:
         raise ValueError(
             f"tower orders differ: outer {outer.order}, inner {inner.order}"
         )
     mid = inner.value
-    scale_ref = max(1.0, float(np.max(np.abs(mid))))
-    if outer.at.shape != mid.shape or np.max(np.abs(outer.at - mid)) > _BASE_TOL * scale_ref:
+    scale_ref = max(1.0, float(np.abs(mid).max()))
+    if outer.at.shape != mid.shape or np.abs(outer.at - mid).max() > _BASE_TOL * scale_ref:
         raise ValueError(
             "base point mismatch: outer tower expanded at "
             f"{outer.at}, inner evaluates to {mid}"
         )
-    f = outer.tower.components
-    g = inner.tower.components
-
-    def term(lam):
-        t = f[len(lam)]
-        for part in lam:
-            t = np.tensordot(t, g[part], axes=([1], [0]))
-        return t
-
-    tower = _chain_rule(f[0], inner.tower, term, _degree(f), _degree(g))
-    return DerivativeTower(at=inner.at, tower=tower)
-
-
-def _degree(components) -> int:
-    """Index of the last component with a nonzero (or NaN) entry; 0 if none.
-
-    Scans down from the top, so a tower whose last component is nonzero
-    costs one ``any``.  Every component above the degree is exactly zero.
-    """
-    for j in range(len(components) - 1, 0, -1):
-        if components[j].any():
-            return j
-    return 0
-
-
-@lru_cache(maxsize=None)
-def _live_terms(n: int, outer_degree: int, inner_degree: int):
-    """``(partition, weight)`` of the partitions of n whose factors can be nonzero.
-
-    A partition with more parts than ``outer_degree`` reads a zero outer
-    derivative, and one with a part larger than ``inner_degree`` a zero inner
-    component, so its term is zero.
-    """
-    return tuple(
-        (lam, partition_weight(lam))
-        for lam in partitions(n)
-        if lam[0] <= inner_degree and len(lam) <= outer_degree
-    )
-
-
-def _chain_rule(
-    value: np.ndarray, inner: MultiTensor, term, outer_degree: int, inner_degree: int
-) -> MultiTensor:
-    """Tower over ``inner``'s input and order: ``value``, then partition sums.
-
-    Component n sums ``partition_weight(lam) * term(lam)`` over the integer
-    partitions of n and is symmetrized.  With one slot (n = 1) or one input
-    dimension there is only one ordering of the slots, so the sum is
-    symmetric as it stands and is kept as it is.
-
-    ``outer_degree`` and ``inner_degree`` are the factors' :func:`_degree`;
-    the partitions they rule out (see :func:`_live_terms`) are not evaluated.
-    The result is bitwise the full sum wherever that sum is finite: a skipped
-    term is then all +0 or -0, and the accumulator, which starts at +0 and
-    never becomes -0, is unchanged by adding either.
-    """
-    d_out, d_in, k = value.shape[0], inner.dim_in, inner.order
-    comps = [value]
-    for n in range(1, k + 1):
-        acc = np.zeros((d_out,) + (d_in,) * n)
-        for lam, weight in _live_terms(n, outer_degree, inner_degree):
-            acc += term(lam) if weight == 1 else weight * term(lam)
-        comps.append(acc if n < 2 or d_in == 1 else _symmetrize_component(acc))
-    return MultiTensor(Shape(d_out, d_in, k), comps)
+    k, d_in = inner.order, inner.tower.dim_in
+    packed = _substitute(_pack(outer.tower.components, outer.tower.dim_in),
+                         _pack(inner.tower.components, d_in), d_in, k)
+    return DerivativeTower(at=inner.at, tower=_unpack(packed, d_in, k))
 
 
 def forward_chain(programs, v0, order: int) -> DerivativeTower:

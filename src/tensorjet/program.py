@@ -11,7 +11,7 @@ Towers are propagated forward through the DAG: every node combines its
 children's towers using only its own local derivative rule (closed forms for
 affine/polynomial layers, per-order derivative sequences for elementwise
 primitives, a Leibniz product expansion, truncated Horner for an elementwise
-stage and partition-sum composition for any other), so requesting a higher
+stage and polynomial substitution for any other), so requesting a higher
 order never changes the lower-order components.  Inside the walk a tower is
 packed: a symmetric tower stores each slot orbit once, as the derivative
 d^alpha for each multi-index alpha of degree <= order (the truncated
@@ -64,9 +64,10 @@ from .multitensor import (
     MultiTensor,
     ShapeMismatchError,
     _component,
+    _horner_steps,
     _pack,
-    _pair_table,
     _pure_index,
+    _times,
     _unpack,
     algebra_product,
     eval_polynomial,
@@ -678,7 +679,7 @@ def _layer_tower(p, v, k, path):
     # so derivatives follow the falling-factorial rule on symmetrized weights.
     w = p.weights
     sym = symmetrize(w)
-    comps = _zero_components(w.dim_out, w.dim_in, min(w.order, k))
+    comps = [np.zeros((w.dim_out,) + (w.dim_in,) * j) for j in range(min(w.order, k) + 1)]
     for j in range(w.order + 1):
         term = sym.components[j]
         top = min(j, k)
@@ -744,26 +745,21 @@ def _horner(fvals: np.ndarray, inner: np.ndarray, dim_in: int, degree: int) -> n
     """Packed tower of f(g) from ``fvals[r, i]`` = f^(r)(g_i(v)) and g's packed tower.
 
     Truncated Horner, f(g0 + s) = sum_r f^(r)(g0)/r! s^r with s = g - g0,
-    g of ``degree`` at most: the step for r needs only degrees up to k - r,
-    a prefix in graded order, and multiplies by s over the prefix of the
-    pair table that reaches that degree.  Each entry is computed the same way
-    for every k that holds it, so a deeper tower leaves the lower entries
-    bitwise unchanged.
+    g of ``degree`` at most: the step for r needs only degrees up to k - r, a
+    prefix in graded order, and multiplies by s over the prefix of the pair
+    table that reaches it, so a deeper tower leaves the lower entries as they are.
     """
     k = fvals.shape[0] - 1
     coeffs = fvals / _factorials(k)[:, None]
-    if degree == 0:  # g is constant
-        out = np.zeros((fvals.shape[1], math.comb(dim_in + k, k)))
-        out[:, 0] = coeffs[0]
-        return out
-    h = coeffs[k][:, None]
-    ia, ib, weight, heads, cuts = _pair_table(dim_in, k, degree)
-    s = inner[:, ia[:cuts[k][0]]] * weight[:cuts[k][0]]
-    for r in range(k - 1, -1, -1):
-        pairs, targets = cuts[k - r]
-        sums = np.add.reduceat(s[:, :pairs] * h[:, ib[:pairs]], heads[:targets], axis=1)
-        sums += 0.0  # a sum of -0 terms is +0, as in a sum that starts at +0
-        h = np.concatenate((coeffs[r][:, None], sums), axis=1)
+    h = np.zeros((fvals.shape[1], math.comb(dim_in + k, k)))
+    h[:, 0] = coeffs[k if degree else 0]  # a constant g (degree 0) is all its value
+    if degree:
+        ia, weight, steps = _horner_steps(dim_in, k, degree)
+        s = inner[:, ia] * weight
+        for r, (ib, heads) in zip(range(k - 1, -1, -1), steps):
+            h[:, 1:heads.size + 1] = _times(s[:, :ib.size], h, ib, heads)  # reads h first
+            h[:, 0] = coeffs[r]
+    h[:, 1:] += 0.0  # a sum of -0 terms is +0, as in a sum that starts at +0
     return h
 
 
@@ -947,7 +943,3 @@ def structurally_equal(a: Program, b: Program) -> bool:
             return False
         pairs.extend(zip(x.children, y.children))
     return True
-
-
-def _zero_components(d_out: int, d_in: int, k: int) -> list[np.ndarray]:
-    return [np.zeros((d_out,) + (d_in,) * j) for j in range(k + 1)]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,14 @@ from tensorjet import (
     tensor_network,
     truncate,
 )
-from tensorjet.multitensor import _pack, _unpack, algebra_product, symmetrize
+from tensorjet import multitensor
+from tensorjet.multitensor import (
+    _pack,
+    _symmetrize_component,
+    _unpack,
+    algebra_product,
+    symmetrize,
+)
 import tensorjet.operators as operators_module
 from tensorjet.operators import reduction_commutes
 from tensorjet.program import DerivativeTower, _horner
@@ -218,11 +226,12 @@ class TestDiagonalChainRule:
     def test_bitwise_equal_to_dense_outer_tower(self, name):
         """Horner on the packed inner tower against ``compose_towers``.
 
-        The two sum the same terms in different orders, so they agree to
-        1e-12 of max(1, |component|), not bit for bit: over these cases the
-        largest gap is 3.9e-13 (reciprocal, order 6), where the dense loop
-        loses digits to cancellation among large terms.  The tower is
-        exactly symmetric and finite.
+        For an elementwise outer the substitution's nested sums are Horner's
+        steps, so over these cases the two agree bit for bit.  Where the walk
+        knows the inner is affine it sums over a pair table cut to degree 1,
+        in shorter blocks, and the two can differ by rounding (up to 2.8e-17
+        of max(1, |component|) over 300 random affine inners, d 3-5).  The
+        tower is exactly symmetric and finite.
         """
         prim = get_primitive(name)
         for inner, v, k in self._cases(name, 41):
@@ -233,8 +242,7 @@ class TestDiagonalChainRule:
             dense = compose_towers(
                 derivative_tower(outer, inner_tower.value, k), inner_tower
             )
-            for a, b in zip(got.tower.components, dense.tower.components):
-                assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(b))))
+            _assert_close(got.tower, dense.tower, rel=1e-15)
             assert got.tower.is_symmetric(tol=0.0)
             assert all(np.all(np.isfinite(c)) for c in got.tower.components)
 
@@ -276,76 +284,154 @@ class TestDiagonalChainRule:
         assert t.components[1][0, 0] == pytest.approx(slope, rel=1e-13)
 
 
+def _partition_loop(outer, inner):
+    """Reference chain rule on dense towers: every integer partition's contraction.
+
+    Component n sums, over the partitions of n, the outer derivative of order
+    "number of parts" contracted with one inner derivative per part, weighted
+    by the partition's slot count, and is symmetrized.
+    """
+    f, g = outer.tower.components, inner.tower.components
+    d_out, d_in, k = f[0].shape[0], inner.tower.dim_in, inner.order
+    comps = [f[0]]
+    for n in range(1, k + 1):
+        acc = np.zeros((d_out,) + (d_in,) * n)
+        for lam in partitions(n):
+            t = f[len(lam)]
+            for part in lam:
+                t = np.tensordot(t, g[part], axes=([1], [0]))
+            acc += partition_weight(lam) * t
+        comps.append(_symmetrize_component(acc))
+    return DerivativeTower(at=inner.at, tower=MultiTensor(Shape(d_out, d_in, k), comps))
+
+
+def _assert_close(got, want, rel=1e-12):
+    for a, b in zip(got.components, want.components):
+        assert np.max(np.abs(a - b)) <= rel * max(1.0, float(np.max(np.abs(b))))
+
+
+def _along(tower, u):
+    """[i][n]: exactly <component n, u^(x)n>_i / n!, from the tower's float entries."""
+    uf = np.array([Fraction(x) for x in u], dtype=object)
+    rows = []
+    for n, comp in enumerate(tower.components):
+        t = np.vectorize(Fraction, otypes=[object])(comp)
+        for _ in range(n):
+            t = t.dot(uf)
+        rows.append([x / math.factorial(n) for x in t])
+    return list(zip(*rows))
+
+
+def _exact_series(a, name):
+    """Taylor coefficients 1..K of reciprocal(g) or log(g) from g's, in exact arithmetic."""
+    b = [Fraction(0)] * len(a)
+    for n in range(1, len(a)):
+        if name == "reciprocal":
+            b[0] = 1 / a[0]
+            b[n] = -sum(a[m] * b[n - m] for m in range(1, n + 1)) / a[0]
+        else:  # (log g)' = g' / g
+            b[n] = (a[n] - sum(Fraction(m, n) * b[m] * a[n - m] for m in range(1, n))) / a[0]
+    return b
+
+
+class TestSubstitutionAccuracy:
+    @pytest.mark.parametrize("name", ["reciprocal", "log"])
+    def test_as_close_as_horner_to_an_exact_series(self, name):
+        """Along a direction, against the exact series of f(g), g the inner tower's series.
+
+        The error of order n is n! |got_n - exact_n| / max(1, n! |exact_n|),
+        that of the n-th directional derivative; both towers share the
+        rounded outer derivatives.  The partition loop lost digits here to
+        cancellation among large terms.
+        """
+        prim = get_primitive(name)
+        directions = np.random.default_rng(45)
+        for seed in (41, 42):
+            for inner, v, k in TestDiagonalChainRule._cases(name, seed):
+                d = inner.dim_out
+                u = directions.uniform(-1.0, 1.0, size=d)
+                inner_tower = derivative_tower(inner, v, k)
+                exact = [_exact_series(a, name) for a in _along(inner_tower.tower, u)]
+
+                def error(tower):
+                    return max(math.factorial(n) * float(abs(got[n] - want[n]))
+                               / max(1.0, math.factorial(n) * float(abs(want[n])))
+                               for got, want in zip(_along(tower, u), exact)
+                               for n in range(1, k + 1))
+
+                outer = derivative_tower(Elementwise(prim, d), inner_tower.value, k)
+                composed = error(compose_towers(outer, inner_tower).tower)
+                horner = error(derivative_tower(Compose(Elementwise(prim, d), inner), v, k).tower)
+                assert composed <= 2.0 * horner + 1e-16
+
+
+class TestDeeperOrders:
+    """A tower one order deeper truncates to the shallower one bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["forward_chain", "reverse_chain", "layer", "affine"])
+    def test_order_plus_one_truncates_to_order(self, kind):
+        rng = np.random.default_rng(46)
+        for case in range(6):
+            d = 1 + case % 3
+            v = rng.uniform(-0.5, 0.5, d)
+            if kind.endswith("chain"):
+                chain = random_chain(rng, 3, d, 2, depth=2) + [
+                    ContractionLayer(random_multitensor(rng, 2, 2, 2)),
+                    Elementwise(get_primitive("sin"), 2)]
+                run = lambda k, chain=chain: getattr(operators_module, kind)(chain, v, k)
+            else:
+                outer = (ContractionLayer(random_multitensor(rng, 2, 2, 2)) if kind == "layer"
+                         else Affine(rng.uniform(-0.8, 0.8, (2, 2)), rng.uniform(-0.5, 0.5, 2)))
+                p = Compose(outer, random_program(rng, d, 2, 2))
+                run = lambda k, p=p: derivative_tower(p, v, k)
+            for k in range(5):
+                assert _bitwise_equal(truncate(run(k + 1).tower, k), run(k).tower)
+
+
 class TestChainRuleSymmetrizes:
-    @staticmethod
-    def _chain_rule_symmetrizing_all(value, inner, term, outer_degree, inner_degree):
-        """Reference: every partition, skipped or not, summed and symmetrized."""
-        d_out, d_in, k = value.shape[0], inner.dim_in, inner.order
-        comps = [value]
-        for n in range(1, k + 1):
-            acc = np.zeros((d_out,) + (d_in,) * n)
-            for lam in partitions(n):
-                acc += partition_weight(lam) * term(lam)
-            comps.append(operators_module._symmetrize_component(acc))
-        return MultiTensor(Shape(d_out, d_in, k), comps)
+    """Substitution on packed towers is symmetric by construction: no symmetrizing pass."""
 
     def test_only_multi_slot_components_of_several_inputs(self, monkeypatch):
+        """Against the partition loop, which symmetrizes every component it sums."""
         rng = np.random.default_rng(43)
         programs = [random_program(rng, 1 + case % 3, 2, 3) for case in range(18)]
         points = [rng.uniform(-0.5, 0.5, size=p.dim_in) for p in programs]
         towers = [derivative_tower(p, v, 4).tower for p, v in zip(programs, points)]
-        monkeypatch.setattr(operators_module, "_chain_rule", self._chain_rule_symmetrizing_all)
+        calls = []
+
+        def reference(outer, inner):
+            calls.append(inner.tower.dim_in)
+            return _partition_loop(outer, inner)
+
+        monkeypatch.setattr(operators_module, "compose_towers", reference)
         for p, v, got in zip(programs, points, towers):
-            assert _bitwise_equal(got, derivative_tower(p, v, 4).tower)
+            _assert_close(got, derivative_tower(p, v, 4).tower)
+            assert got.is_symmetric(tol=0.0)
+        assert set(calls) == {1, 2, 3}  # the reference ran for every input dimension
 
     def test_no_symmetrizing_for_one_input(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        cases = []
+        for d in (1, 2, 3):
+            inner = derivative_tower(random_program(rng, d, 2, 2), rng.uniform(-0.5, 0.5, d), 4)
+            for outer in (ContractionLayer(random_multitensor(rng, 2, 2, 2)),
+                          Elementwise(get_primitive("tanh"), 2), random_program(rng, 2, 2, 2)):
+                cases.append((derivative_tower(outer, inner.value, 4), inner))
         calls = []
-        symmetrize_component = operators_module._symmetrize_component
 
         def counting(comp):
             calls.append(comp.shape)
-            return symmetrize_component(comp)
+            return comp.copy()
 
         monkeypatch.setattr(operators_module, "_symmetrize_component", counting)
-        sin = Elementwise(get_primitive("sin"))
-        derivative_tower(Compose(sin, Compose(sin, Affine([[0.5]], [0.1]))), [0.3], 6)
+        monkeypatch.setattr(multitensor, "_symmetrize_component", counting)
+        for outer, inner in cases:
+            compose_towers(outer, inner)
         assert calls == []
-        # an elementwise stage is packed Horner, symmetric by construction
-        derivative_tower(Compose(Elementwise(get_primitive("sin"), 2),
-                                 Affine([[0.5, 0.2], [0.1, -0.3]], [0.1, 0.0])), [0.3, 0.1], 3)
-        assert calls == []
-
-
-def _chain_rule_every_term(value, inner, term, outer_degree, inner_degree):
-    """The chain rule with no term skipped: every partition of every order."""
-    d_out, d_in, k = value.shape[0], inner.dim_in, inner.order
-    comps = [value]
-    for n in range(1, k + 1):
-        acc = np.zeros((d_out,) + (d_in,) * n)
-        for lam in partitions(n):
-            acc += partition_weight(lam) * term(lam)
-        comps.append(acc if n < 2 or d_in == 1 else operators_module._symmetrize_component(acc))
-    return MultiTensor(Shape(d_out, d_in, k), comps)
-
-
-def _count_terms(monkeypatch):
-    """List that collects the partition of every chain-rule term evaluated."""
-    calls = []
-    chain_rule = operators_module._chain_rule
-
-    def counted(value, inner, term, outer_degree, inner_degree):
-        def counted_term(lam):
-            calls.append(lam)
-            return term(lam)
-
-        return chain_rule(value, inner, counted_term, outer_degree, inner_degree)
-
-    monkeypatch.setattr(operators_module, "_chain_rule", counted)
-    return calls
 
 
 class TestSkippedChainRuleTerms:
-    """Terms with a zero factor are skipped; the towers keep every bit."""
+    """Nested sums above the outer's degree are skipped; the towers keep every bit."""
 
     @staticmethod
     def _towers(seed):
@@ -382,31 +468,47 @@ class TestSkippedChainRuleTerms:
     def test_bitwise_equal_to_every_term(self, monkeypatch):
         runs = list(self._towers(51))
         got = [run() for run in runs]
-        monkeypatch.setattr(operators_module, "_chain_rule", _chain_rule_every_term)
+        # every level up to the order, zero coefficients included
+        monkeypatch.setattr(multitensor, "_packed_degree", lambda packed, dim_in, order: order)
         for run, tower in zip(runs, got):
             assert all(np.all(np.isfinite(c)) for c in tower.tower.components)
             assert _bitwise_equal(tower.tower, run().tower)
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_elementwise_of_affine_has_one_term_per_order(self, monkeypatch, d):
+    def test_elementwise_of_affine_has_one_term_per_order(self, d):
+        """Component n is f^(n)(A v + b) times n copies of A's row, entry by entry."""
         rng = np.random.default_rng(52)
         outer = Elementwise(get_primitive("sin"), d)
-        affine = Affine(rng.uniform(-0.8, 0.8, (d, d)), rng.uniform(-0.5, 0.5, d))
-        calls = _count_terms(monkeypatch)
+        a = rng.uniform(-0.8, 0.8, (d, d))
+        affine = Affine(a, rng.uniform(-0.5, 0.5, d))
         for k in range(1, 7):
             inner = derivative_tower(affine, rng.uniform(-0.6, 0.6, d), k)
             outer_tower = derivative_tower(outer, inner.value, k)
-            calls.clear()
-            compose_towers(outer_tower, inner)
-            assert calls == [(1,) * n for n in range(1, k + 1)]
+            got = compose_towers(outer_tower, inner)
+            for n, comp in enumerate(got.tower.components):
+                want = np.array([outer_tower.component(n)[(i,) * (n + 1)] for i in range(d)])
+                for _ in range(n):
+                    want = want[..., None] * a.reshape((d,) + (1,) * (want.ndim - 1) + (d,))
+                assert np.max(np.abs(comp - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
 
     def test_quadratic_outer_has_terms_of_at_most_two_parts(self, monkeypatch):
+        """The nested sums of a quadratic outer stop at degree 2 at every order."""
         rng = np.random.default_rng(53)
         p = Compose(ContractionLayer(random_multitensor(rng, 2, 2, 2)),
                     Elementwise(get_primitive("sin"), 2))
-        calls = _count_terms(monkeypatch)
-        derivative_tower(p, [0.3, -0.2], 6)
-        assert calls == [lam for n in range(1, 7) for lam in partitions(n) if len(lam) <= 2]
+        plans = []
+        nest_plan = multitensor._nest_plan
+
+        def recording(dim, degree):
+            plans.append((dim, degree))
+            return nest_plan(dim, degree)
+
+        monkeypatch.setattr(multitensor, "_nest_plan", recording)
+        got = [derivative_tower(p, [0.3, -0.2], k).tower for k in range(2, 7)]
+        assert plans == [(2, 2)] * 5
+        monkeypatch.setattr(operators_module, "compose_towers", _partition_loop)
+        for k, tower in zip(range(2, 7), got):
+            _assert_close(tower, derivative_tower(p, [0.3, -0.2], k).tower)
 
     def test_inner_tower_with_inf_gives_non_finite_tower(self):
         d, k = 2, 4

@@ -16,6 +16,7 @@ from tensorjet import (
     DomainEvalError,
     Elementwise,
     ExtractedDerivative,
+    compose_towers,
     derivative_tower,
     get_primitive,
     integer_power,
@@ -24,7 +25,7 @@ from tensorjet import (
 )
 from tensorjet import multitensor
 from tensorjet.multitensor import _monomials, _orbit_index, _pack, _pair_table, _unpack
-from tensorjet.program import _apply_prim, _prim_derivatives
+from tensorjet.program import _apply_prim, _horner, _prim_derivatives
 
 from _gen import random_multitensor, random_program
 
@@ -149,3 +150,54 @@ def test_primitive_derivatives_keep_every_bit_and_error(name):
         for k in range(25):
             got = _outcome(lambda: _prim_derivatives(prim, v, k, "/x"))
             assert got == _outcome(lambda: _per_order(prim, v, k, "/x")), (v, k)
+
+
+def test_unpacked_components_are_fresh_read_only_and_equal_to_a_copying_build():
+    """``_unpack`` keeps the arrays it gathers instead of copying them again."""
+    rng = np.random.default_rng(62)
+    for d, k in ((1, 4), (2, 3), (3, 5)):
+        packed = _pack(multitensor.symmetrize(random_multitensor(rng, 2, d, k)).components, d)
+        tower = _unpack(packed, d, k)
+        copied = multitensor.MultiTensor(tower.shape, [c.copy() for c in tower.components])
+        assert _bits(tower) == _bits(copied)
+        for comp in tower.components:
+            assert not comp.flags.writeable and comp.flags.c_contiguous
+            assert not np.shares_memory(comp, packed)
+        with pytest.raises(ValueError):
+            tower.components[k][(0,) * (k + 1)] = 1.0
+
+
+def test_derivative_and_composed_towers_are_read_only():
+    rng = np.random.default_rng(63)
+    p = random_program(rng, 2, 2, 3)
+    v = rng.uniform(-0.5, 0.5, 2)
+    inner = derivative_tower(p, v, 3)
+    outer = derivative_tower(Compose(Elementwise(get_primitive("sin"), 2), p), inner.value, 3)
+    for tower in (inner.tower, compose_towers(outer, inner).tower):
+        assert all(not c.flags.writeable for c in tower.components)
+
+
+def _horner_on_the_whole_table(fvals, inner, dim_in, degree):
+    """Truncated Horner slicing the deepest pair table at every step."""
+    k = fvals.shape[0] - 1
+    coeffs = fvals / np.array([math.factorial(r) for r in range(k + 1)], dtype=float)[:, None]
+    h = coeffs[k][:, None]
+    ia, ib, weight, heads, cuts = _pair_table(dim_in, k, degree)
+    s = inner[:, ia[:cuts[k][0]]] * weight[:cuts[k][0]]
+    for r in range(k - 1, -1, -1):
+        pairs, targets = cuts[k - r]
+        sums = np.add.reduceat(s[:, :pairs] * h[:, ib[:pairs]], heads[:targets], axis=1)
+        sums += 0.0
+        h = np.concatenate((coeffs[r][:, None], sums), axis=1)
+    return h
+
+
+def test_horner_with_cached_step_slices_keeps_every_bit():
+    rng = np.random.default_rng(64)
+    for case in range(40):
+        d, k = 1 + case % 4, 1 + case % 6
+        degree = 1 + case % k
+        inner = _pack(multitensor.symmetrize(random_multitensor(rng, d, d, k)).components, d)
+        fvals = rng.uniform(-2.0, 2.0, size=(k + 1, d))
+        want = _horner_on_the_whole_table(fvals, inner, d, degree)
+        assert _horner(fvals, inner, d, degree).tobytes() == want.tobytes()
