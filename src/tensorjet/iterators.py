@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .multitensor import _mul
 from .operators import taylor_series
-from .program import Program, _jet_mul, derivative_tower, evaluate
+from .program import Program, derivative_tower, evaluate
 
 
 class FixedPointError(RuntimeError):
@@ -177,7 +178,7 @@ def _solve_eigen_series(local: list[float], lam: float, order: int) -> list[floa
     series = np.array(local)
     powers = [np.array([1.0] + [0.0] * order)]
     for _ in range(order):
-        powers.append(_jet_mul(powers[-1], series))
+        powers.append(_mul(powers[-1], series, 1, order))
     powers = np.array(powers).tolist()
     h = [0.0, 1.0] + [0.0] * (order - 1)
     for m in range(2, order + 1):
@@ -193,11 +194,11 @@ def _revert_series(h: list[float], order: int) -> list[float]:
     """Series g with h(g(w)) = w + O(w^{order+1}); assumes h = u + higher terms."""
     # Row j holds the coefficients of g^j (row 1 is g itself).  [g^j]_m only
     # involves the finished coefficients g_1..g_{m-1}, so at degree m one
-    # product of rows 1..m-1 with g gives column m of rows 2..m.
+    # product of g with rows 1..m-1 gives column m of rows 2..m.
     powers = np.zeros((order + 1, order + 1))
     powers[1, 1] = 1.0
     for m in range(2, order + 1):
-        powers[2:m + 1, m] = _jet_mul(powers[1:m, :m + 1], powers[1, :m + 1])[:, m]
+        powers[2:m + 1, m] = _mul(powers[1, :m + 1], powers[1:m, :m + 1], 1, m)[:, m]
         total = 0.0
         for j in range(2, m + 1):
             total += h[j] * float(powers[j, m])

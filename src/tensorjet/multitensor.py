@@ -481,13 +481,12 @@ def _build_pair_table(dim_in: int, order: int, degree: int):
     exps = _monomials(dim_in, order)
     starts = _degree_starts(dim_in, order)
     binom = _binomials(order)
-    blocks = []  # one per degree pair (|a|, |b|), so temporaries stay small
+    blocks = []  # one per degree |a|: each b of degree <= order - |a|
     for p in range(1, min(degree, order) + 1):
-        for q in range(order - p + 1):
-            a = np.arange(starts[p], starts[p + 1]).repeat(starts[q + 1] - starts[q])
-            b = np.tile(np.arange(starts[q], starts[q + 1]), starts[p + 1] - starts[p])
-            c = exps[a] + exps[b]
-            blocks.append((a, b, _rank(c), binom[c, exps[a]].prod(axis=1)))
+        a = np.arange(starts[p], starts[p + 1]).repeat(starts[order - p + 1])
+        b = np.tile(np.arange(starts[order - p + 1]), starts[p + 1] - starts[p])
+        c = exps[a] + exps[b]
+        blocks.append((a, b, _rank(c), binom[c, exps[a]].prod(axis=1)))
     ia, ib, ic, weight = (np.concatenate(column) for column in zip(*blocks))
     by_target = np.argsort(ic, kind="stable")
     ia, ib, ic = ia[by_target], ib[by_target], ic[by_target]
@@ -506,6 +505,24 @@ def _times(s: np.ndarray, h: np.ndarray, ib: np.ndarray, heads: np.ndarray) -> n
     return np.add.reduceat(terms, heads, axis=-1)  # callers turn -0 sums into +0 at the end
 
 
+def _mul(a: np.ndarray, b: np.ndarray, dim_in: int, order: int) -> np.ndarray:
+    """Truncated product a * b of packed towers in series scaling, on the last axis.
+
+    The entries are Taylor coefficients d^alpha / alpha!, so the products
+    have unit weights; ``a`` broadcasts to ``b``.  Entry c is a_0 * b_c plus
+    the sum over its pairs in the unbounded pair table, which are the same
+    at every order, so a deeper product leaves the lower entries bitwise
+    unchanged.
+    """
+    ia, ib, _, heads, cuts = _pair_table(dim_in, order, order)
+    pairs, targets = cuts[order]
+    s = a[..., ia[:pairs]]
+    out = a[..., :1] * b
+    out[..., 1:] += _times(s, b, ib[:pairs], heads[:targets])
+    out += 0.0  # a sum of -0 terms is +0, as in a sum that starts at +0
+    return out
+
+
 @lru_cache(maxsize=None)
 def _horner_steps(dim_in: int, k: int, degree: int):
     """``ia``, weights and, per step i (degree i times s up to degree i + 1), ``(ib, heads)``."""
@@ -514,14 +531,16 @@ def _horner_steps(dim_in: int, k: int, degree: int):
     return ia[:cuts[k][0]], weight[:cuts[k][0]], steps
 
 
-def _substitute(f: np.ndarray, g: np.ndarray, dim_in: int, order: int) -> np.ndarray:
+def _substitute(f: np.ndarray, g: np.ndarray, dim_in: int, order: int,
+                series: bool = False) -> np.ndarray:
     """Packed tower of f(g) from the packed towers of f at g0 and of g, to ``order``.
 
     f(g0 + delta) = sum c_alpha delta^alpha, c_alpha = d^alpha f / alpha!, in
     nested form: h_alpha = c_alpha + sum of delta_i * h_(alpha + e_i) over the
     children of alpha (i at least alpha's last variable), from f's degree down
     to h_0.  Degree j needs h up to degree ``order - j``; each product is a
-    Horner step, so an elementwise f gets ``program._horner``'s bits.
+    Horner step, so an elementwise f gets ``program._horner``'s bits.  With
+    ``series`` g and the result are in series scaling (unit weights).
     """
     d_out, d = f.shape[0], g.shape[0]
     degree = _packed_degree(f, d, order)
@@ -531,7 +550,7 @@ def _substitute(f: np.ndarray, g: np.ndarray, dim_in: int, order: int) -> np.nda
         plan, factorials = _nest_plan(d, degree)
         coeffs = f[:, :starts[-1]] / factorials
         ia, weight, steps = _horner_steps(dim_in, order, order)
-        s = g[:, ia] * weight  # delta = g - g0: no pair reads the value column
+        s = g[:, ia] if series else g[:, ia] * weight  # delta = g - g0: no pair reads g0
         var, first = plan[-1]
         p = coeffs[:, starts[degree]:, None] * g[var, :sizes[order - degree + 2]]
         for j in range(degree - 1, -1, -1):

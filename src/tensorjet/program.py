@@ -24,12 +24,16 @@ and convert at their boundary.
 
 ``jet`` pushes a univariate Taylor series through the DAG instead: given the
 coefficients of an input curve x(t) truncated at t^K, it returns those of
-p(x(t)), one ``(dim, K+1)`` array per node (Griewank, Utke & Walther, Math.
-Comp. 69, 2000; Bettencourt, Johnson & Duvenaud, 2019).  Along the ray
-x(t) = v + t*u, coefficient j is <tower_j, u^(x)j> / j!, at the cost of
-truncated series products rather than dense d^j tensors.  Series products
-never read a coefficient above the one they produce, so a deeper jet leaves
-the lower coefficients bitwise unchanged.
+p(x(t)) (Griewank, Utke & Walther, Math. Comp. 69, 2000; Bettencourt,
+Johnson & Duvenaud, 2019).  Along the ray x(t) = v + t*u, coefficient j is
+<tower_j, u^(x)j> / j!.  A jet is the same truncated polynomial ring in one
+variable, t: the packed tower of t -> x(t) in series scaling, one
+``(dim, K+1)`` array of Taylor coefficients per node, so its products have
+unit weights.  The nonlinear jet rules are the tower kernels at dim_in = 1
+(truncated Horner, polynomial substitution and the product ``_mul``), and a
+layer contracts its own weights one slot at a time, with no dense d^j
+tensors.  Those kernels never read an entry above the one they produce, so
+a deeper jet leaves the lower coefficients bitwise unchanged.
 
 So every node type has three local rules: its value, its derivative tower,
 and its jet.  Where a rule only adds or passes results on (identity, sum,
@@ -63,10 +67,13 @@ import numpy as np
 from .multitensor import (
     MultiTensor,
     ShapeMismatchError,
+    _column_factorials,
     _component,
     _horner_steps,
+    _mul,
     _pack,
     _pure_index,
+    _substitute,
     _times,
     _unpack,
     algebra_product,
@@ -741,21 +748,23 @@ def _compose_tower(p, v, k, path):
     ).tower.components, p.dim_in)
 
 
-def _horner(fvals: np.ndarray, inner: np.ndarray, dim_in: int, degree: int) -> np.ndarray:
+def _horner(fvals: np.ndarray, inner: np.ndarray, dim_in: int, degree: int,
+            series: bool = False) -> np.ndarray:
     """Packed tower of f(g) from ``fvals[r, i]`` = f^(r)(g_i(v)) and g's packed tower.
 
     Truncated Horner, f(g0 + s) = sum_r f^(r)(g0)/r! s^r with s = g - g0,
     g of ``degree`` at most: the step for r needs only degrees up to k - r, a
     prefix in graded order, and multiplies by s over the prefix of the pair
     table that reaches it, so a deeper tower leaves the lower entries as they are.
+    With ``series`` g and the result are in series scaling (unit weights).
     """
     k = fvals.shape[0] - 1
-    coeffs = fvals / _factorials(k)[:, None]
+    coeffs = fvals / _column_factorials(1, k)[:, None]
     h = np.zeros((fvals.shape[1], math.comb(dim_in + k, k)))
     h[:, 0] = coeffs[k if degree else 0]  # a constant g (degree 0) is all its value
     if degree:
         ia, weight, steps = _horner_steps(dim_in, k, degree)
-        s = inner[:, ia] * weight
+        s = inner[:, ia] if series else inner[:, ia] * weight
         for r, (ib, heads) in zip(range(k - 1, -1, -1), steps):
             h[:, 1:heads.size + 1] = _times(s[:, :ib.size], h, ib, heads)  # reads h first
             h[:, 0] = coeffs[r]
@@ -787,12 +796,14 @@ def _extracted_tower(p, v, k, path):
 
 # --- jets ------------------------------------------------------------------------
 #
-# A jet is a ``(dim, K+1)`` array: row i holds the t^0..t^K coefficients of
-# coordinate i.  Nonlinear rules combine jets with ``_jet_mul`` alone.  Sums
-# over a vector index run over a leading axis, which numpy adds in index
-# order whatever K is; a BLAS product would not, nor would numpy with a
-# single coefficient column (it sums that pairwise), so ``jet`` never walks
-# one.
+# A jet is the packed tower of t -> x(t) in one variable, in series scaling:
+# a ``(dim, K+1)`` array whose column j holds the t^j Taylor coefficients,
+# so products have unit weights (``series=True``) and no factorial enters
+# the walk.  Nonlinear rules are the tower kernels at dim_in = 1: truncated
+# Horner, polynomial substitution and the product ``multitensor._mul``.
+# Sums over a vector index run over a leading axis, which numpy adds in
+# index order whatever K is; a BLAS product would not, nor would numpy with
+# a single column (it sums that pairwise), so ``jet`` never walks one.
 
 def _constant_jet(p, x, k, path):
     out = np.zeros((p.dim_out, x.shape[1]))
@@ -807,86 +818,42 @@ def _affine_jet(p, x, k, path):
 
 
 def _layer_jet(p, x, k, path):
-    return _contract_jet(p.weights.components, x)
+    # sum_j w_j . x^(x)j from the raw weights, one slot at a time, so integer
+    # weights stay exact (the layer's tower holds symmetrized orbit means)
+    K = x.shape[1] - 1
+    out = np.zeros((p.dim_out, K + 1))
+    out[:, 0] = p.weights.components[0]
+    for w in p.weights.components[1:]:
+        term = (w[..., None] * x).sum(axis=-2)  # the last slot
+        for _ in range(w.ndim - 2):  # the next slot, summed over its index
+            term = _mul(x, term, 1, K).sum(axis=-2)
+        out += term
+    return out
 
 
 def _elementwise_jet(p, x, k, path):
-    # f(x0 + s) = sum_r f^(r)(x0)/r! s^r in Horner form, s = x - x0
     K = x.shape[1] - 1
-    coeffs = _prim_derivatives(p.fn, x[:, 0], K, path) / _factorials(K)[:, None]
-    s = x.copy()
-    s[:, 0] = 0.0
-    out = np.zeros_like(x)
-    out[:, 0] = coeffs[K]
-    for r in range(K - 1, -1, -1):
-        out = _jet_mul(out, s)
-        out[:, 0] = coeffs[r]
-    return out
+    return _horner(_prim_derivatives(p.fn, x[:, 0], K, path), x, 1, K, series=True)
 
 
 def _product_jet(p, x, k, path):
     jets = []
     for i, child in enumerate(p.children):
         jets.append((yield child, x, k, f"{path}/prod[{i}]"))
-    if p.bilinear is not None:
-        pairs = _jet_mul(jets[0][:, None, :], jets[1][None, :, :])
-        n = x.shape[1]
-        return (p.bilinear.reshape(p.dim_out, -1, 1) * pairs.reshape(-1, n)).sum(axis=1)
+    K = x.shape[1] - 1
+    if p.bilinear is not None:  # sum_r a_r * (sum_s B_irs b_s)
+        b = (p.bilinear[..., None] * jets[1]).sum(axis=2)
+        return _mul(jets[0], b, 1, K).sum(axis=1)
     out = jets[0]
     for other in jets[1:]:
-        out = _jet_mul(out, other)
+        out = _mul(out, other, 1, K)
     return out
 
 
 def _extracted_jet(p, x, k, path):
     # the node's own tower at x0 is its Taylor polynomial in s = x - x0
     K = x.shape[1] - 1
-    tower = _unpack((yield p, x[:, 0].copy(), K, path), p.dim_in, K)
-    s = x.copy()
-    s[:, 0] = 0.0
-    return _contract_jet([c / f for c, f in zip(tower.components, _factorials(K))], s)
-
-
-def _contract_jet(weights, x: np.ndarray) -> np.ndarray:
-    """Jet of sum_j w_j . x^(x)j for dense weights w_j of shape (d_out,) + (d_in,)*j."""
-    out = np.zeros((weights[0].shape[0], x.shape[1]))
-    out[:, 0] = weights[0]
-    for w in weights[1:]:
-        term = (w[..., None] * x).sum(axis=-2)  # the last slot
-        for _ in range(w.ndim - 2):
-            term = _jet_mul(term, x).sum(axis=-2)  # the next slot, summed over its index
-        out += term
-    return out
-
-
-def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated product of series along the last axis; leading axes broadcast.
-
-    Coefficient m is the sum of a_i * b_(m-i) over i = 0..m, added in
-    increasing i, so it does not depend on how many coefficients follow it.
-    """
-    n = a.shape[-1]
-    terms = a[..., :, None] * b[..., None, :]
-    lead = terms.shape[:-2]
-    flat = np.zeros(lead + (n * n + 1,))  # the last entry is the zero padding
-    flat[..., :-1] = terms.reshape(lead + (-1,))
-    return flat[..., _cauchy_index(n)].sum(axis=-2)
-
-
-@lru_cache(maxsize=None)
-def _cauchy_index(n: int) -> np.ndarray:
-    """``[i, m]``: flat index of a_i * b_(m-i) among n*n products, or the padding n*n."""
-    i, m = np.indices((n, n))
-    index = np.where(i <= m, i * n + m - i, n * n)
-    index.flags.writeable = False
-    return index
-
-
-@lru_cache(maxsize=None)
-def _factorials(k: int) -> np.ndarray:
-    out = np.array([math.factorial(j) for j in range(k + 1)], dtype=np.float64)
-    out.flags.writeable = False
-    return out
+    return _substitute((yield p, x[:, 0].copy(), K, path), x, 1, K, series=True)
 
 
 # Each node type's value, tower and jet rule, keyed by its exact type.

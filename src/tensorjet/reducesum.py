@@ -13,9 +13,13 @@ Every output is that exact rational rounded to a float once, at the end.
 
 The ray coefficients c_j = [t^j] p(v0 + t*v) come from one jet walk of the
 program (``program.jet``, the third rule column next to values and towers)
-started from the input series (v0, v, 0, ...): truncated univariate series
-products at every node, with no dense derivative tensors.  On integer data
-every step of that walk is exact, so polynomial rays sum exactly.
+started from the input series (v0, v, 0, ...): the tower kernels in the one
+variable t at every node, with no dense derivative tensors.  The walk
+carries the coefficients themselves, and a layer contracts its raw
+weights, so on integer data every step of it is exact while every
+coefficient, partial product and primitive derivative stays below 2^53
+(pow(m)'s derivatives m!/(m-j)! do up to m = 22), and polynomial rays sum
+exactly.
 
 Convention freeze (validated against the literal-loop oracle): Bernoulli
 numbers follow the recurrence  sum_{j<m} C(m,j) B_j = 0, so B_1 = -1/2.

@@ -1,6 +1,7 @@
 """Jets: univariate Taylor series pushed through the DAG, against towers and exact sums."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +11,14 @@ import tensorjet.program as program_module
 from tensorjet import (
     Affine,
     Compose,
+    ContractionLayer,
     DomainEvalError,
     Elementwise,
     ExtractedDerivative,
     Identity,
+    MultiTensor,
     Product,
+    Shape,
     Sum,
     brute_force_partial_sum,
     derivative_tower,
@@ -28,7 +32,7 @@ from tensorjet import (
 from tensorjet.multitensor import ShapeMismatchError
 from tensorjet.program import jet
 
-from _gen import random_bilinear_product, random_program, rel_gap
+from _gen import random_bilinear_product, random_multitensor, random_program, rel_gap
 
 
 def ray_series(v, u, order):
@@ -81,6 +85,8 @@ def test_deeper_jet_leaves_lower_coefficients_bitwise(dim):
     rng = np.random.default_rng(71 + dim)
     programs = [random_program(rng, dim, dim, 3) for _ in range(12)]
     programs.append(ExtractedDerivative(random_program(rng, min(dim, 2), 1, 2), 1))
+    bilinear_rng = np.random.default_rng(171 + dim)
+    programs += [random_bilinear_product(bilinear_rng, dim) for _ in range(4)]
     for p in programs:
         series = rng.uniform(-0.5, 0.5, size=(p.dim_in, 7))  # a general input curve
         for order in range(6):
@@ -110,6 +116,67 @@ def test_integer_power_rays_sum_exactly(m):
             assert np.array_equal(reduce_sum_apply(p, v0, u, n, 12), want)
             polys = reduce_sum_polynomials(p, v0, u, 12)
             assert [poly(n) for poly in polys] == [Fraction(x) for x in want]
+
+
+@pytest.mark.parametrize("m", [12, 18, 22, 24])
+def test_integer_rays_of_degree_up_to_24_sum_exactly(m):
+    # pow(r)'s derivatives r!/(r-j)! are exact floats up to r = 22, so degree 24
+    # comes from products too; every sum stays below 3 * 3^24 < 2^53
+    rng = np.random.default_rng(90 + m)
+    for _ in range(6):
+        line = Affine([[float(rng.choice([-1.0, 1.0]))]], [0.0])
+        cases = [
+            (Product([Compose(Elementwise(integer_power(m // 2)), Identity(1)),
+                      Compose(Elementwise(integer_power(m - m // 2)), line)]), 1),
+            (Product([line] * m), 1),
+        ]
+        if m <= 22:
+            cases += [
+                (Compose(Elementwise(integer_power(m)), line), 1),
+                (Compose(Elementwise(integer_power(m), 2), Affine([[1.0, 0.0], [1.0, -1.0]],
+                                                                  [0.0, 1.0])), 2),
+            ]
+        for p, dim in cases:
+            v0 = rng.integers(-1, 2, size=dim).astype(float)
+            u = rng.choice([-1.0, 1.0], size=dim)
+            n = int(rng.integers(1, 3))
+            want = brute_force_partial_sum(p, v0, u, n)
+            assert np.array_equal(reduce_sum_apply(p, v0, u, n, 24), want)
+            polys = reduce_sum_polynomials(p, v0, u, 24)
+            assert [poly(n) for poly in polys] == [Fraction(x) for x in want]
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_non_symmetric_integer_layer_rays_sum_exactly(order):
+    rng = np.random.default_rng(93 + order)
+    for _ in range(20):
+        comps = [rng.integers(-3, 4, size=(2,) + (2,) * j).astype(float)
+                 for j in range(order + 1)]
+        p = ContractionLayer(MultiTensor(Shape(2, 2, order), comps))
+        v0 = rng.integers(-2, 3, size=2).astype(float)
+        u = rng.integers(-2, 3, size=2).astype(float)
+        n = int(rng.integers(2, 6))
+        want = brute_force_partial_sum(p, v0, u, n)
+        for degree in (order, 12):
+            assert np.array_equal(reduce_sum_apply(p, v0, u, n, degree), want)
+
+
+def test_polynomial_programs_take_jets_of_any_order():
+    # no factorial enters these jets, so K above 170 (171! overflows a float) runs
+    rng = np.random.default_rng(94)
+    programs = [
+        Identity(2),
+        Affine(rng.uniform(-1, 1, size=(2, 2)), rng.uniform(-1, 1, size=2)),
+        ContractionLayer(random_multitensor(rng, 2, 2, 3)),
+        Product((Identity(2), ContractionLayer(random_multitensor(rng, 2, 2, 2)))),
+        Product((Identity(2), Affine(rng.uniform(-1, 1, size=(2, 2)), [0.5, -0.5])),
+                bilinear=rng.uniform(-1, 1, size=(3, 2, 2))),
+    ]
+    for p in programs:
+        series = ray_series(rng.uniform(-0.5, 0.5, size=2), rng.uniform(-0.5, 0.5, size=2), 200)
+        high = jet(p, series)
+        assert high.shape == (p.dim_out, 201)
+        assert np.array_equal(high[:, :25], jet(p, series[:, :25]))
 
 
 def test_domain_error_message_matches_the_tower_path():
@@ -143,6 +210,22 @@ def test_deep_chain_jet_matches_its_tower():
         assert math.factorial(j) * coeffs[0, j] == pytest.approx(comp.item(), rel=1e-12, abs=0.0)
 
 
+def test_layer_jet_peak_allocation_stays_small():
+    # a jet through the layer's width-C(8+24, 24) tower would take about 670 MB;
+    # the slot-by-slot contraction holds (d_out, d, K+1) terms at order 2
+    rng = np.random.default_rng(73)
+    p = ContractionLayer(random_multitensor(rng, 8, 8, 2))
+    series = rng.uniform(-0.5, 0.5, size=(8, 25))
+    jet(p, series)  # the cached index tables are built here, outside the trace
+    tracemalloc.start()
+    try:
+        jet(p, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def _cos_leaf():
     return Compose(Elementwise(get_primitive("cos")), Affine([[0.03]], [0.01]))
 
@@ -158,17 +241,17 @@ def test_shared_nest_matches_tree_and_computes_each_node_once(monkeypatch):
     series = ray_series([0.4], [0.7], 3)
     assert np.array_equal(jet(dag, series), jet(tree(12), series))
     calls = []
-    mul = program_module._jet_mul
+    mul = program_module._mul
 
-    def counting(a, b):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return mul(a, b)
+        return mul(*args, **kwargs)
 
-    monkeypatch.setattr(program_module, "_jet_mul", counting)
+    monkeypatch.setattr(program_module, "_mul", counting)
     for order in (1, 2, 3):
         calls.clear()
         jet(dag, series[:, :order + 1])
-        assert len(calls) == 12 + order  # one per Product, plus cos's Horner steps
+        assert len(calls) == 12  # one per Product; cos's Horner steps call _times alone
 
 
 def test_wrong_shape_input_is_a_shape_mismatch():
