@@ -526,6 +526,19 @@ def _prim_derivatives(prim: Primitive, v: np.ndarray, k: int, path: str) -> np.n
     )
 
 
+# Truncated Horner and series-scaled towers divide by float factorials r!,
+# and 171! is above the largest float.
+_MAX_FACTORIAL_ORDER = 170
+
+
+def _check_factorial_order(k: int, path: str, node: str) -> None:
+    if k > _MAX_FACTORIAL_ORDER:
+        raise DomainEvalError(
+            f"{path or '/'}: {node}: order {k} is above {_MAX_FACTORIAL_ORDER}, "
+            "the largest whose factorial is a float"
+        )
+
+
 # --- the DAG walk -------------------------------------------------------------
 #
 # A request is ``(node, point, order, path)``: ``order`` None asks for the
@@ -719,6 +732,7 @@ def _sum_tower(p, v, k, path):
 
 
 def _product_tower(p, v, k, path):
+    _check_factorial_order(k, path, "prod")
     towers = []
     for i, child in enumerate(p.children):
         towers.append((yield child, v, k, f"{path}/prod[{i}]"))
@@ -737,6 +751,7 @@ def _compose_tower(p, v, k, path):
     inner = yield p.inner, v, k, path + "/compose.inner"
     mid = inner[:, 0].copy()
     if isinstance(p.outer, Elementwise):
+        _check_factorial_order(k, path + "/compose.outer", f"elem({p.outer.fn.name})")
         fvals = _prim_derivatives(p.outer.fn, mid, k, path + "/compose.outer")
         return _horner(fvals, inner, p.dim_in, _tower_degree(p.inner, k))
     from .operators import compose_towers
@@ -833,6 +848,7 @@ def _layer_jet(p, x, k, path):
 
 def _elementwise_jet(p, x, k, path):
     K = x.shape[1] - 1
+    _check_factorial_order(K, path, f"elem({p.fn.name})")
     return _horner(_prim_derivatives(p.fn, x[:, 0], K, path), x, 1, K, series=True)
 
 

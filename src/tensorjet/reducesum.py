@@ -3,13 +3,16 @@
 ``reduce_sum_apply`` computes  sum_{h=0..n} p(v0 + h*v)  without looping over
 h: the program is expanded into its truncated series along the ray, and each
 monomial t^m is replaced by the exact power-sum polynomial in n built from
-Bernoulli numbers.  There is one exact route: ``reduce_sum_polynomials``
-builds the per-coordinate polynomial sum_j c_j S_j(n), and apply and
-``reduction_velocity`` evaluate it (or its derivatives in n) at n.  Every
-float c_j is dyadic, a_j / 2^e_j, and the closed forms S_0..S_order are
-cached per order as integer numerators over one denominator, so each
-polynomial coefficient is an integer sum divided once (``fractions.Fraction``).
-Every output is that exact rational rounded to a float once, at the end.
+Bernoulli numbers.  There is one exact route to the per-coordinate
+polynomial sum_j c_j S_j(n): every float c_j is dyadic, a_j / 2^e_j, and the
+closed forms S_0..S_order are cached per order as integer numerators over
+one denominator, so each coordinate's polynomial is integer numerators N_m
+over one integer D.  ``reduce_sum_polynomials`` divides each N_m by D
+(``fractions.Fraction``).  Apply and ``reduction_velocity`` build no
+``Fraction`` from them: they evaluate sum_m N_m n^m (or its k-th derivative
+in n) at n = a/b by integer Horner and make one int/int true division, which
+Python rounds correctly.  Every output is the exact rational rounded to a
+float once, at the end, the same float as ``float(poly(n))``.
 
 The ray coefficients c_j = [t^j] p(v0 + t*v) come from one jet walk of the
 program (``program.jet``, the third rule column next to values and towers)
@@ -80,7 +83,7 @@ class RationalPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs:
@@ -203,27 +206,51 @@ def reduce_sum_apply(program: Program, v0, direction, n: int, order: int) -> np.
 
     Exact (up to one final rounding) when the restriction of p to the ray is
     a polynomial of degree <= ``order``; otherwise the truncated series
-    introduces the usual truncation error.
+    introduces the usual truncation error.  The closed forms are evaluated
+    at n in integers and divided once, the same float as rounding
+    ``reduce_sum_polynomials``' value at n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    polys = reduce_sum_polynomials(program, v0, direction, order)
-    return np.array([float(p(n)) for p in polys])
+    return _evaluate(_sum_numerators(program, v0, direction, order), n, 0)
 
 
 def reduce_sum_polynomials(program: Program, v0, direction, order: int) -> list[RationalPoly]:
     """Per-coordinate closed-form polynomial in n for sum_{h=0..n} p(v0 + h*v)."""
+    return [RationalPoly([Fraction(num, den) for num in nums])
+            for nums, den in _sum_numerators(program, v0, direction, order)]
+
+
+def _sum_numerators(program: Program, v0, direction, order: int) -> list[tuple[list[int], int]]:
+    """Per coordinate ``(nums, den)``: the n^m coefficient of its closed form is nums[m]/den."""
     coeffs = _ray_coefficients(program, v0, direction, order)
     den, columns = _closed_form_numerators(order)
-    polys = []
+    rows = []
     for row in coeffs.T.tolist():
         ratios = [c.as_integer_ratio() for c in row]  # each b is a power of two
         scale = max(b for _, b in ratios)
         nums = [a * (scale // b) for a, b in ratios]
-        polys.append(RationalPoly(
-            Fraction(sum(map(operator.mul, nums, col)), scale * den) for col in columns
-        ))
-    return polys
+        rows.append(([sum(map(operator.mul, nums, col)) for col in columns], scale * den))
+    return rows
+
+
+def _evaluate(rows, n, k: int) -> np.ndarray:
+    """The k-th n-derivative of each closed form at n, rounded once.
+
+    With n = a/b, sum_m d_m n^m is sum_m d_m a^m b^(M-m) / b^M: integer
+    Horner, then one int/int true division, which is correctly rounded (and
+    is what ``float(Fraction)`` does), so each float is the exact value rounded once.
+    """
+    a, b = Fraction(n).as_integer_ratio()  # every n that Fraction takes
+    out = []
+    for nums, den in rows:
+        d = [math.perm(m, k) * c for m, c in enumerate(nums)][k:]  # n^(m-k) coefficients
+        acc, bpow = (d.pop() if d else 0), 1
+        for c in reversed(d):
+            bpow *= b
+            acc = acc * a + c * bpow
+        out.append(acc / (den * bpow))
+    return np.array(out)
 
 
 @lru_cache(maxsize=None)
@@ -241,9 +268,9 @@ def reduction_velocity(
 
     k = 0 reproduces :func:`reduce_sum_apply`; k above the polynomial degree
     gives zero.  ``n`` may be any real (the closed form extends off the
-    integers).
+    integers).  Each output is the exact value of the k-th derivative of
+    ``reduce_sum_polynomials``' polynomial at n, rounded once.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    polys = reduce_sum_polynomials(program, v0, direction, series_order)
-    return np.array([float(p.derivative(k)(Fraction(n))) for p in polys])
+    return _evaluate(_sum_numerators(program, v0, direction, series_order), n, k)

@@ -323,8 +323,11 @@ class TestCleanFailures:
         ('(layer {"dim_out":1,"dim_in":2.5,"order":0,"components":[[1.0]]})',
          ("tau", "--at", "[1]", "--order", "1"),
          1, "parse error: 1:8: bad layer payload: dim_in must be an integer, got 2.5"),
+        ("(elem sin)",
+         ("reduce-sum", "--at", "[0.1]", "--dir", "[0.2]", "--order", "171", "--n", "3"),
+         2, "/: elem(sin): order 171 is above 170, the largest whose factorial is a float"),
     ], ids=["reduce-sum-overflow", "tau-inf", "reciprocal-underflow", "log-underflow",
-            "taylor-overflow", "mismatch-line-3", "non-integer-dim"])
+            "taylor-overflow", "mismatch-line-3", "non-integer-dim", "reduce-sum-order-171"])
     def test_one_line_and_exit_code(self, capsys, tmp_path, text, argv, code, message):
         f = tmp_path / "prog.sexp"
         f.write_text(text)

@@ -179,6 +179,30 @@ def test_polynomial_programs_take_jets_of_any_order():
         assert np.array_equal(high[:, :25], jet(p, series[:, :25]))
 
 
+def test_orders_above_170_that_divide_by_factorials_are_domain_errors():
+    # truncated Horner and series-scaled products divide by r!, and 171! overflows a float
+    sin_affine = Compose(Elementwise(get_primitive("sin")), Affine([[0.5]], [0.1]))
+    limit = "order 171 is above 170, the largest whose factorial is a float"
+    cases = [
+        (lambda: derivative_tower(sin_affine, [0.1], 171), f"/compose.outer: elem(sin): {limit}"),
+        (lambda: jet(sin_affine, ray_series([0.1], [0.2], 171)),
+         f"/compose.outer: elem(sin): {limit}"),
+        (lambda: reduce_sum_apply(sin_affine, [0.1], [0.2], 3, 171),
+         f"/compose.outer: elem(sin): {limit}"),
+        (lambda: reduction_velocity(Elementwise(get_primitive("sin")), [0.1], [0.2], 3, 1, 171),
+         f"/: elem(sin): {limit}"),
+        (lambda: derivative_tower(Product((Identity(1), Identity(1))), [0.1], 171),
+         f"/: prod: {limit}"),
+    ]
+    for run, message in cases:
+        with pytest.raises(DomainEvalError) as err:
+            run()
+        assert str(err.value) == message
+    # order 170 still runs, and its low coefficients are the order-24 jet's
+    high = jet(sin_affine, ray_series([0.1], [0.2], 170))
+    assert np.array_equal(high[:, :25], jet(sin_affine, ray_series([0.1], [0.2], 24)))
+
+
 def test_domain_error_message_matches_the_tower_path():
     log = Elementwise(get_primitive("log"))
     shift = Affine([[1.0]], [-2.0])

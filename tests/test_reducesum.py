@@ -28,6 +28,7 @@ from tensorjet import (
     reduction_velocity,
 )
 
+import tensorjet.reducesum as reducesum_module
 from tensorjet.reducesum import _ray_coefficients
 
 from _gen import random_multitensor
@@ -247,6 +248,51 @@ class TestAgainstFractionFormulas:
                 got = reduce_sum_apply(p, v0, u, n, order)
                 assert got.tobytes() == self.reference_apply(coeffs, n).tobytes()
         assert signed_zeros == {False, True}
+
+    @pytest.mark.parametrize("order", [0, 1, 12, 24])
+    def test_velocity_bit_for_bit(self, order):
+        # k = order + 2 and order + 5 are above every polynomial's degree
+        ks = sorted({0, 1, 2, 3, order + 2, order + 5})
+        for p, v0, u in self.rays():
+            polys = self.reference_polynomials(_ray_coefficients(p, v0, u, order))
+            for n in (0, 3, 10**6, 1e6, 2.5, -1.75, Fraction(1, 3), Fraction(-7, 3)):
+                for k in ks:
+                    got = reduction_velocity(p, v0, u, n, k, order)
+                    want = np.array([float(q.derivative(k)(Fraction(n))) for q in polys])
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [0, 1, 12, 24])
+    def test_apply_off_the_integers_bit_for_bit(self, order):
+        for p, v0, u in self.rays():
+            coeffs = _ray_coefficients(p, v0, u, order)
+            for n in (2.5, 1e6, 10**6 + 0.5, Fraction(1, 3), Fraction(7, 2)):
+                got = reduce_sum_apply(p, v0, u, n, order)
+                assert got.tobytes() == self.reference_apply(coeffs, n).tobytes()
+            for n in (-1.75, Fraction(-1, 3)):
+                with pytest.raises(ValueError, match="^n must be >= 0$"):
+                    reduce_sum_apply(p, v0, u, n, order)
+
+    def test_overflow_at_huge_n(self):
+        p = monomial(2)  # sum_{h=0..n} h^2 = n^3/3 + n^2/2 + n/6
+        for run in (lambda: reduce_sum_apply(p, [0.0], [1.0], 1e300, 2),
+                    lambda: reduction_velocity(p, [0.0], [1.0], 1e300, 1, 2)):
+            with pytest.raises(OverflowError,
+                               match="^integer division result too large for a float$"):
+                run()
+        assert reduction_velocity(p, [0.0], [1.0], 1e300, 2, 2)[0] == 2e300
+        assert reduction_velocity(p, [0.0], [1.0], 1e300, 3, 2)[0] == 2.0
+
+
+def test_apply_and_velocity_do_not_build_polynomials(monkeypatch):
+    def refuse(coeffs):
+        raise AssertionError("RationalPoly built")
+
+    monkeypatch.setattr(reducesum_module, "RationalPoly", refuse)
+    p = monomial(2)
+    assert reduce_sum_apply(p, [0.0], [1.0], 3, 3)[0] == 14.0
+    assert reduction_velocity(p, [0.0], [1.0], 3, 1, 3)[0] == float(Fraction(73, 6))
+    with pytest.raises(AssertionError, match="RationalPoly built"):
+        reduce_sum_polynomials(p, [0.0], [1.0], 3)
 
 
 class TestShiftSemigroup:
