@@ -11,15 +11,18 @@ Subcommands::
 
 Programs are given as s-expression files or ``-`` for standard input;
 vectors as bracketed comma-separated reals, e.g. ``[0.5,1.0]``.  All floats
-are printed with 17 significant digits.  Exit codes: 0 success, 1 usage or
-parse error, 2 numerical/domain failure, a non-finite result included; a
-failing run prints nothing on stdout.  Diagnostics go to stderr only.
+are printed with 17 significant digits.  Exit codes: 0 success, 1 usage,
+parse or output error (a stdout closed before the output is written, as by
+``| head -c 1``, included), 2 numerical/domain failure, a non-finite result
+included; a failing run prints nothing on stdout.  Diagnostics go to stderr
+only, one line per failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -172,8 +175,12 @@ def main(argv=None) -> int:
             if args.command == "selftest":
                 from .selftest import run_selftest
 
-                return run_selftest()
+                code = run_selftest()
+                sys.stdout.flush()
+                return code
             lines = _dispatch(args, parser)
+    except BrokenPipeError:
+        return _stdout_closed()
     except SexprError as exc:
         print(f"tensorjet: parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -183,8 +190,26 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, FixedPointError) as exc:
         print(f"tensorjet: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    print(*lines, sep="\n")
+    try:
+        print(*lines, sep="\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return _stdout_closed()
     return 0
+
+
+def _stdout_closed() -> int:
+    """One stderr line and exit 1 for a stdout closed by its reader.
+
+    Stdout is pointed at the null device, so the flush at exit writes the
+    rest of the buffer there instead of raising again.
+    """
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+    print("tensorjet: output error: stdout was closed before the output was written",
+          file=sys.stderr)
+    return USAGE_ERROR
 
 
 def _dispatch(args, parser) -> list[str]:

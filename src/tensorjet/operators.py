@@ -9,8 +9,11 @@ program at the shifted argument ``v0 + h*v``.
 tower of their composition by polynomial substitution in the truncated
 polynomial ring, one packed entry per multi-index, so the result is exactly
 symmetric.  The DAG walk calls it for a ``Compose`` node whose outer stage is
-not elementwise; ``forward_chain``/``reverse_chain`` fold it over a pipeline
-from either end, and both directions produce the tower of the full composite.
+not elementwise, and ``reverse_chain`` folds it over a pipeline from the last
+stage.  ``forward_chain`` builds no stage tower: it pushes one packed series
+in dim_in variables, the pipeline's running truncated Taylor polynomial,
+through the stages by the walk's jet rules and expands it once.  Both
+directions produce the tower of the full composite.
 
 ``order_reduce`` reinterprets a tower one order down, turning the derivative
 itself into a program value: the first tensor slot of each component is
@@ -30,6 +33,7 @@ import numpy as np
 from .multitensor import (
     MultiTensor,
     Shape,
+    _nest_plan,
     _pack,
     _substitute,
     _unpack,
@@ -37,7 +41,7 @@ from .multitensor import (
     truncate,
 )
 from .multitensor import _symmetrize_component  # noqa: F401  a site of bench/spans.py REQUIRED_SITES
-from .program import DerivativeTower, Program, derivative_tower
+from .program import DerivativeTower, Program, _tower_input, _walk, derivative_tower
 
 _BASE_TOL = 1e-9  # relative tolerance on the base point shared by composed towers
 
@@ -141,16 +145,26 @@ def compose_towers(outer: DerivativeTower, inner: DerivativeTower) -> Derivative
 def forward_chain(programs, v0, order: int) -> DerivativeTower:
     """Tower of the composite pipeline, accumulated first-to-last.
 
-    ``programs[0]`` runs first.  At every step the running tower of the
-    prefix is pushed through the next stage.
+    ``programs[0]`` runs first.  One packed series in dim_in variables, the
+    identity at ``v0`` in series scaling, is pushed through each stage by
+    the jet rules of the DAG walk: the running series is the prefix's
+    truncated Taylor polynomial.  Its coefficients are scaled by alpha! and
+    unpacked to a dense tower once, at the end.
     """
     programs = list(programs)
     _check_chain(programs)
-    acc = derivative_tower(programs[0], v0, order)
-    for stage in programs[1:]:
-        outer = derivative_tower(stage, acc.value, order)
-        acc = compose_towers(outer, acc)
-    return acc
+    v0 = _tower_input(programs[0], v0, order)
+    d = v0.size
+    n, k = (d, order) if order else (1, 1)  # order 0 walks two columns, as ``jet`` does
+    series = np.zeros((d, math.comb(n + k, k)))
+    series[:, 0] = v0
+    if order:
+        series[:, 1:d + 1] = np.eye(d)
+    for stage in programs:
+        series = _walk(stage, series, (n, k))
+    width = math.comb(d + order, order)
+    return DerivativeTower(at=v0, tower=_unpack(
+        series[:, :width] * _nest_plan(d, order)[1], d, order))
 
 
 def reverse_chain(programs, v0, order: int) -> DerivativeTower:

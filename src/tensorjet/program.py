@@ -22,18 +22,20 @@ extracted-derivative nodes, and compositions whose outer stage is not
 elementwise, apply the dense operators of ``multitensor`` and ``operators``
 and convert at their boundary.
 
-``jet`` pushes a univariate Taylor series through the DAG instead: given the
-coefficients of an input curve x(t) truncated at t^K, it returns those of
-p(x(t)) (Griewank, Utke & Walther, Math. Comp. 69, 2000; Bettencourt,
-Johnson & Duvenaud, 2019).  Along the ray x(t) = v + t*u, coefficient j is
-<tower_j, u^(x)j> / j!.  A jet is the same truncated polynomial ring in one
-variable, t: the packed tower of t -> x(t) in series scaling, one
-``(dim, K+1)`` array of Taylor coefficients per node, so its products have
-unit weights.  The nonlinear jet rules are the tower kernels at dim_in = 1
-(truncated Horner, polynomial substitution and the product ``_mul``), and a
-layer contracts its own weights one slot at a time, with no dense d^j
-tensors.  Those kernels never read an entry above the one they produce, so
-a deeper jet leaves the lower coefficients bitwise unchanged.
+A jet pushes a truncated Taylor series through the DAG instead (Griewank,
+Utke & Walther, Math. Comp. 69, 2000; Bettencourt, Johnson & Duvenaud,
+2019).  A jet in n variables is the same truncated polynomial ring in
+t = (t_1..t_n): the packed tower of t -> x(t) in series scaling, one
+``(dim, C(n+K, K))`` array of Taylor coefficients per node, so its products
+have unit weights.  ``jet`` is the case n = 1: given the coefficients of an
+input curve x(t) truncated at t^K, it returns those of p(x(t)); along the
+ray x(t) = v + t*u, coefficient j is <tower_j, u^(x)j> / j!.
+``operators.forward_chain`` pushes the identity series at a point, n =
+dim_in, through a pipeline.  The nonlinear jet rules are the tower kernels
+in n variables (truncated Horner, polynomial substitution and the product
+``_mul``), and a layer contracts its own weights one slot at a time, with no
+dense d^j tensors.  Those kernels never read an entry above the one they
+produce, so a deeper jet leaves the lower coefficients bitwise unchanged.
 
 So every node type has three local rules: its value, its derivative tower,
 and its jet.  Where a rule only adds or passes results on (identity, sum,
@@ -309,24 +311,42 @@ class DerivativeTower:
 
 def evaluate(program: Program, v) -> np.ndarray:
     """Run the program on a vector."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (program.dim_in,):
-        raise ShapeMismatchError(
-            f"input must have shape ({program.dim_in},), got {v.shape}"
-        )
-    return _walk(program, v, None)
+    return _walk(program, _input(program, v), None)
 
 
 def derivative_tower(program: Program, v, order: int) -> DerivativeTower:
-    """Value and all derivative tensors of orders 1..order at the point ``v``."""
+    """Value and all derivative tensors of orders 1..order at the point ``v``.
+
+    ``order`` is at most 63, checked before the walk: component j is an array
+    with j + 1 axes.  Jets have no such limit.
+    """
+    v = _tower_input(program, v, order)
+    return DerivativeTower(at=v, tower=_unpack(_walk(program, v, order), program.dim_in, order))
+
+
+# Component j of a dense tower has j + 1 axes, and numpy arrays have at most 64.
+_MAX_DENSE_ORDER = 63
+
+
+def _tower_input(program: Program, v, order: int) -> np.ndarray:
+    """The point ``v`` as an array, once ``order`` is known to fit a dense tower."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    if order > _MAX_DENSE_ORDER:
+        raise ValueError(
+            f"order {order} is above {_MAX_DENSE_ORDER}, the largest of a dense tower "
+            "(component j has j + 1 axes, and numpy arrays have at most 64)"
+        )
+    return _input(program, v)
+
+
+def _input(program: Program, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (program.dim_in,):
         raise ShapeMismatchError(
             f"input must have shape ({program.dim_in},), got {v.shape}"
         )
-    return DerivativeTower(at=v, tower=_unpack(_walk(program, v, order), program.dim_in, order))
+    return v
 
 
 def jet(program: Program, series) -> np.ndarray:
@@ -342,8 +362,8 @@ def jet(program: Program, series) -> np.ndarray:
             f"input series must have shape ({program.dim_in}, K+1), got {series.shape}"
         )
     if series.shape[1] == 1:  # see the note on jets below
-        return _walk(program, np.hstack([series, np.zeros_like(series)]), _JET)[:, :1]
-    return _walk(program, series, _JET)
+        return _walk(program, np.hstack([series, np.zeros_like(series)]), (1, 1))[:, :1]
+    return _walk(program, series, (1, series.shape[1] - 1))
 
 
 def tensor_network(layers) -> Program:
@@ -543,15 +563,12 @@ def _check_factorial_order(k: int, path: str, node: str) -> None:
 #
 # A request is ``(node, point, order, path)``: ``order`` None asks for the
 # node's value at ``point``, an integer for its derivative tower to that
-# order, and ``_JET`` for its jet along the input series ``point``.  Every
-# node type has one rule per kind of request.  A leaf rule returns its
-# result; any other rule is a generator that yields its children's
-# requests, is sent their results, and returns its own.  The driver keeps
-# the open generators on a list, so the Python stack does not grow with the
-# depth of the DAG.
-
-_JET = "jet"
-
+# order, and a pair ``(n, K)`` for its jet in n variables to degree K along
+# the input series ``point``.  Every node type has one rule per kind of
+# request.  A leaf rule returns its result; any other rule is a generator
+# that yields its children's requests, is sent their results, and returns
+# its own.  The driver keeps the open generators on a list, so the Python
+# stack does not grow with the depth of the DAG.
 
 def _walk(root: Program, point: np.ndarray, order):
     """Result of ``root`` at ``point``: its value, tower or jet, as ``order`` asks.
@@ -595,7 +612,7 @@ def _walk(root: Program, point: np.ndarray, order):
         rules = _RULES.get(type(node))
         if rules is None:
             raise TypeError(f"unknown program node {type(node).__name__}")
-        result = rules[0 if k is None else 2 if k is _JET else 1](node, at, k, path)
+        result = rules[0 if k is None else 2 if type(k) is tuple else 1](node, at, k, path)
         if type(result) is GeneratorType:
             stack.append((result, entry))
             result = None
@@ -811,14 +828,17 @@ def _extracted_tower(p, v, k, path):
 
 # --- jets ------------------------------------------------------------------------
 #
-# A jet is the packed tower of t -> x(t) in one variable, in series scaling:
-# a ``(dim, K+1)`` array whose column j holds the t^j Taylor coefficients,
-# so products have unit weights (``series=True``) and no factorial enters
-# the walk.  Nonlinear rules are the tower kernels at dim_in = 1: truncated
-# Horner, polynomial substitution and the product ``multitensor._mul``.
+# A jet in n variables is the packed tower of t -> x(t), t in R^n, in series
+# scaling: a ``(dim, C(n+K, K))`` array of the Taylor coefficients of each
+# multi-index in t up to degree K, so products have unit weights
+# (``series=True``) and no factorial enters the walk.  A request carries
+# ``(n, K)``.  Nonlinear rules are the tower kernels in n variables:
+# truncated Horner, polynomial substitution and the product
+# ``multitensor._mul``.  ``jet`` is n = 1, a curve; ``operators.forward_chain``
+# pushes the identity series at a point, n = dim_in, through each stage.
 # Sums over a vector index run over a leading axis, which numpy adds in
 # index order whatever K is; a BLAS product would not, nor would numpy with
-# a single column (it sums that pairwise), so ``jet`` never walks one.
+# a single column (it sums that pairwise), so no caller walks one.
 
 def _constant_jet(p, x, k, path):
     out = np.zeros((p.dim_out, x.shape[1]))
@@ -835,41 +855,41 @@ def _affine_jet(p, x, k, path):
 def _layer_jet(p, x, k, path):
     # sum_j w_j . x^(x)j from the raw weights, one slot at a time, so integer
     # weights stay exact (the layer's tower holds symmetrized orbit means)
-    K = x.shape[1] - 1
-    out = np.zeros((p.dim_out, K + 1))
+    n, K = k
+    out = np.zeros((p.dim_out, x.shape[1]))
     out[:, 0] = p.weights.components[0]
     for w in p.weights.components[1:]:
         term = (w[..., None] * x).sum(axis=-2)  # the last slot
         for _ in range(w.ndim - 2):  # the next slot, summed over its index
-            term = _mul(x, term, 1, K).sum(axis=-2)
+            term = _mul(x, term, n, K).sum(axis=-2)
         out += term
     return out
 
 
 def _elementwise_jet(p, x, k, path):
-    K = x.shape[1] - 1
+    n, K = k
     _check_factorial_order(K, path, f"elem({p.fn.name})")
-    return _horner(_prim_derivatives(p.fn, x[:, 0], K, path), x, 1, K, series=True)
+    return _horner(_prim_derivatives(p.fn, x[:, 0], K, path), x, n, K, series=True)
 
 
 def _product_jet(p, x, k, path):
     jets = []
     for i, child in enumerate(p.children):
         jets.append((yield child, x, k, f"{path}/prod[{i}]"))
-    K = x.shape[1] - 1
+    n, K = k
     if p.bilinear is not None:  # sum_r a_r * (sum_s B_irs b_s)
         b = (p.bilinear[..., None] * jets[1]).sum(axis=2)
-        return _mul(jets[0], b, 1, K).sum(axis=1)
+        return _mul(jets[0], b, n, K).sum(axis=1)
     out = jets[0]
     for other in jets[1:]:
-        out = _mul(out, other, 1, K)
+        out = _mul(out, other, n, K)
     return out
 
 
 def _extracted_jet(p, x, k, path):
     # the node's own tower at x0 is its Taylor polynomial in s = x - x0
-    K = x.shape[1] - 1
-    return _substitute((yield p, x[:, 0].copy(), K, path), x, 1, K, series=True)
+    n, K = k
+    return _substitute((yield p, x[:, 0].copy(), K, path), x, n, K, series=True)
 
 
 # Each node type's value, tower and jet rule, keyed by its exact type.

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -326,14 +329,47 @@ class TestCleanFailures:
         ("(elem sin)",
          ("reduce-sum", "--at", "[0.1]", "--dir", "[0.2]", "--order", "171", "--n", "3"),
          2, "/: elem(sin): order 171 is above 170, the largest whose factorial is a float"),
+        ("(elem sin)", ("tau", "--at", "[0.1]", "--order", "64"),
+         2, "order 64 is above 63, the largest of a dense tower "
+            "(component j has j + 1 axes, and numpy arrays have at most 64)"),
+        ("(elem sin)", ("taylor", "--at", "[0.1]", "--order", "64", "--h", "0.1", "--dir", "[1]"),
+         2, "order 64 is above 63, the largest of a dense tower "
+            "(component j has j + 1 axes, and numpy arrays have at most 64)"),
     ], ids=["reduce-sum-overflow", "tau-inf", "reciprocal-underflow", "log-underflow",
-            "taylor-overflow", "mismatch-line-3", "non-integer-dim", "reduce-sum-order-171"])
+            "taylor-overflow", "mismatch-line-3", "non-integer-dim", "reduce-sum-order-171",
+            "tau-order-64", "taylor-order-64"])
     def test_one_line_and_exit_code(self, capsys, tmp_path, text, argv, code, message):
         f = tmp_path / "prog.sexp"
         f.write_text(text)
         argv = (argv[0], "--program", str(f)) + argv[1:]
         got, out, err = run_cli(capsys, *argv)
         assert (got, out, err) == (code, "", f"tensorjet: {message}\n")
+
+
+    def test_compose_modes_order_64_is_one_line(self, capsys, tmp_path):
+        f = tmp_path / "sin.sexp"
+        f.write_text("(elem sin)")
+        for mode in ("forward", "reverse"):
+            got, out, err = run_cli(capsys, "compose-modes", "--chain", str(f), str(f),
+                                    "--at", "[0.1]", "--order", "64", "--mode", mode)
+            assert (got, out) == (2, "")
+            assert err.startswith("tensorjet: order 64 is above 63") and err.count("\n") == 1
+
+    def test_stdout_closed_by_its_reader_is_one_line_and_exit_1(self, tmp_path):
+        f = tmp_path / "sin.sexp"
+        f.write_text("(elem sin)")
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tensorjet", "reduce-sum", "--program", str(f),
+             "--at", "[0.1]", "--dir", "[0.2]", "--order", "170", "--n", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+        proc.stdout.close()  # before the run writes anything
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err
+        assert err == "tensorjet: output error: stdout was closed before the output was written\n"
 
 
 def _sin_chain(levels):

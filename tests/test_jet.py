@@ -183,16 +183,20 @@ def test_orders_above_170_that_divide_by_factorials_are_domain_errors():
     # truncated Horner and series-scaled products divide by r!, and 171! overflows a float
     sin_affine = Compose(Elementwise(get_primitive("sin")), Affine([[0.5]], [0.1]))
     limit = "order 171 is above 170, the largest whose factorial is a float"
+    # dense towers stop at order 63, so a tower rule sees order 171 only inside
+    # the jet of an extracted derivative, which asks for its inner's tower
     cases = [
-        (lambda: derivative_tower(sin_affine, [0.1], 171), f"/compose.outer: elem(sin): {limit}"),
+        (lambda: jet(ExtractedDerivative(sin_affine, 1), ray_series([0.1], [0.2], 170)),
+         f"/deriv.inner/compose.outer: elem(sin): {limit}"),
         (lambda: jet(sin_affine, ray_series([0.1], [0.2], 171)),
          f"/compose.outer: elem(sin): {limit}"),
         (lambda: reduce_sum_apply(sin_affine, [0.1], [0.2], 3, 171),
          f"/compose.outer: elem(sin): {limit}"),
         (lambda: reduction_velocity(Elementwise(get_primitive("sin")), [0.1], [0.2], 3, 1, 171),
          f"/: elem(sin): {limit}"),
-        (lambda: derivative_tower(Product((Identity(1), Identity(1))), [0.1], 171),
-         f"/: prod: {limit}"),
+        (lambda: jet(ExtractedDerivative(Product((Identity(1), Identity(1))), 1),
+                     ray_series([0.1], [0.2], 170)),
+         f"/deriv.inner: prod: {limit}"),
     ]
     for run, message in cases:
         with pytest.raises(DomainEvalError) as err:
@@ -201,6 +205,26 @@ def test_orders_above_170_that_divide_by_factorials_are_domain_errors():
     # order 170 still runs, and its low coefficients are the order-24 jet's
     high = jet(sin_affine, ray_series([0.1], [0.2], 170))
     assert np.array_equal(high[:, :25], jet(sin_affine, ray_series([0.1], [0.2], 24)))
+
+
+def test_dense_towers_stop_at_order_63_before_any_walk(monkeypatch):
+    # component j has j + 1 axes and numpy allows 64; jets have no such limit
+    sin = Elementwise(get_primitive("sin"))
+    assert derivative_tower(sin, [0.1], 63).tower.components[63].ndim == 64
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(program_module, "_walk", no_walk)
+    for order in (64, 171):
+        with pytest.raises(ValueError) as err:
+            derivative_tower(sin, [0.1], order)
+        assert type(err.value) is ValueError
+        assert str(err.value) == (
+            f"order {order} is above 63, the largest of a dense tower "
+            "(component j has j + 1 axes, and numpy arrays have at most 64)")
+    monkeypatch.undo()
+    assert jet(sin, ray_series([0.1], [0.2], 170)).shape == (1, 171)
 
 
 def test_domain_error_message_matches_the_tower_path():

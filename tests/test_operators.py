@@ -34,6 +34,7 @@ from tensorjet import (
 )
 from tensorjet import multitensor
 from tensorjet.multitensor import (
+    ShapeMismatchError,
     _pack,
     _symmetrize_component,
     _unpack,
@@ -560,6 +561,66 @@ class TestChains:
     def test_chain_dim_mismatch(self):
         with pytest.raises(ValueError, match="chain"):
             forward_chain([Identity(2), Identity(3)], [0.0, 0.0], 1)
+
+    def test_forward_chain_error_contract(self):
+        log = get_primitive("log")
+        shift = Affine([[1.0]], [-2.0])  # 0.5 -> -1.5 exactly
+        cases = [
+            (lambda: forward_chain([Identity(2)], [0.1], 1),
+             ShapeMismatchError, "input must have shape (2,), got (1,)"),
+            (lambda: forward_chain([Identity(2)], [[0.1, 0.2]], 1),
+             ShapeMismatchError, "input must have shape (2,), got (1, 2)"),
+            (lambda: forward_chain([Identity(1)], [0.1], -1),
+             ValueError, "order must be >= 0"),
+            (lambda: forward_chain([], [0.1], 1),
+             ValueError, "chain must contain at least one program"),
+            (lambda: forward_chain([Identity(2), Identity(3)], [0.0, 0.0], 1),
+             ValueError, "chain mismatch: stage yields dim 2, next expects dim 3"),
+            (lambda: forward_chain([shift, Compose(Elementwise(log), Identity(1))], [0.5], 2),
+             DomainEvalError, "/compose.outer: elem(log): log of non-positive input -1.5"),
+            (lambda: forward_chain([shift, Elementwise(log)], [0.5], 0),
+             DomainEvalError, "/: elem(log): log of non-positive input -1.5"),
+        ]
+        for run, kind, message in cases:
+            with pytest.raises(kind) as err:
+                run()
+            assert type(err.value) is kind
+            assert str(err.value) == message
+
+    def test_forward_chain_pushes_a_series_without_towers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called")
+
+        rng = np.random.default_rng(26)
+        chain = random_chain(rng, 4, 2, 2, depth=2)
+        v = rng.uniform(-0.5, 0.5, size=2)
+        want = reverse_chain(chain, v, 3)
+        monkeypatch.setattr(operators_module, "compose_towers", refuse)
+        monkeypatch.setattr(operators_module, "derivative_tower", refuse)
+        got = forward_chain(chain, v, 3)
+        assert max_component_gap(got.tower, want.tower) < 1e-10
+
+    def test_forward_chain_value_keeps_its_bits_from_order_0_to_1_at_dim_9(self):
+        # nine summands: numpy would add one column pairwise, so order 0 walks two
+        rng = np.random.default_rng(27)
+        chain = [Affine(rng.uniform(-1, 1, (9, 9)), rng.uniform(-1, 1, 9)),
+                 Compose(Elementwise(get_primitive("sin"), 9),
+                         Affine(rng.uniform(-1, 1, (9, 9)), rng.uniform(-1, 1, 9)))]
+        v = rng.uniform(-1, 1, size=9)
+        values = [forward_chain(chain, v, k).value for k in (0, 1, 2)]
+        assert np.array_equal(values[0], values[1]) and np.array_equal(values[1], values[2])
+
+    def test_chains_and_series_stop_at_order_63(self):
+        message = ("order 64 is above 63, the largest of a dense tower "
+                   "(component j has j + 1 axes, and numpy arrays have at most 64)")
+        sin = Elementwise(get_primitive("sin"))
+        for run in (lambda: forward_chain([sin, sin], [0.1], 64),
+                    lambda: reverse_chain([sin, sin], [0.1], 64),
+                    lambda: taylor_series(sin, [0.1], 64)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == message
+        assert forward_chain([sin, sin], [0.1], 63).tower.components[63].ndim == 64
 
 
 class TestOrderReduction:

@@ -5,6 +5,7 @@ by the recurrences below.  They read node attributes only and use numpy and
 ``math``, no tensorjet kernel, so the two sides share no arithmetic.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,11 +17,15 @@ from tensorjet import (
     Compose,
     ContractionLayer,
     Elementwise,
+    ExtractedDerivative,
+    Product,
     derivative_tower,
+    forward_chain,
     get_primitive,
+    reverse_chain,
 )
 
-from _gen import random_multitensor, random_program
+from _gen import max_component_gap, random_multitensor, random_program
 
 ORDER = 4
 
@@ -70,21 +75,18 @@ def _jet(p, x):
     kind = type(p).__name__
     if kind == "Identity":
         return x.copy()
-    if kind in ("Constant", "Affine", "ContractionLayer"):
+    if kind == "Constant":
         out = np.zeros((p.dim_out, x.shape[1]))
-        if kind == "Constant":
-            out[:, 0] = p.value
-        elif kind == "Affine":
-            out = p.matrix @ x
-            out[:, 0] += p.offset
-        else:
-            for j, w in enumerate(p.weights.components):
-                term = np.zeros(w.shape + (x.shape[1],))
-                term[..., 0] = w
-                for _ in range(j):  # contract the last tensor slot with x
-                    term = sum(_mul(term[..., i, :], x[i]) for i in range(x.shape[0]))
-                out = out + term
+        out[:, 0] = p.value
         return out
+    if kind == "Affine":
+        out = p.matrix @ x
+        out[:, 0] += p.offset
+        return out
+    if kind == "ContractionLayer":
+        return _layer(p.weights.components, x)
+    if kind == "ExtractedDerivative":  # of a polynomial layer only
+        return _layer(_layer_derivative(p.inner.weights.components, p.k), x)
     if kind == "Elementwise":
         return _primitive(p.fn.name, x)
     if kind == "Compose":
@@ -99,6 +101,32 @@ def _jet(p, x):
         return out
     a, b = jets
     return (p.bilinear[..., None] * _mul(a[None, :, None], b[None, None, :])).sum(axis=(1, 2))
+
+
+def _layer(components, x):
+    """Series of the polynomial map sum_j w_j . x^(x)j."""
+    out = 0
+    for j, w in enumerate(components):
+        term = np.zeros(w.shape + (x.shape[1],))
+        term[..., 0] = w
+        for _ in range(j):  # contract the last tensor slot with x
+            term = sum(_mul(term[..., i, :], x[i]) for i in range(x.shape[0]))
+        out = out + term
+    return out
+
+
+def _layer_derivative(components, k):
+    """Weights of x -> D^k W(x), flattened as ``ExtractedDerivative`` flattens it.
+
+    Slots s_1..s_k of w_j taking the directions a_1..a_k, for each ordered
+    choice of k distinct slots, move next to the output index.
+    """
+    out = []
+    for j, w in enumerate(components[k:], start=k):
+        total = sum(np.moveaxis(w, slots, range(1, k + 1))
+                    for slots in itertools.permutations(range(1, j + 1), k))
+        out.append(total.reshape((-1,) + w.shape[k + 1:]))
+    return out
 
 
 @st.composite
@@ -130,3 +158,71 @@ def test_tower_contracted_along_a_ray_matches_the_jet(case):
             got = got @ u
         scale = max(1.0, float(np.max(np.abs(want[:, j]))) * math.factorial(j))
         assert np.max(np.abs(got - math.factorial(j) * want[:, j])) <= 1e-12 * scale
+
+
+@st.composite
+def chains(draw):
+    """A pipeline of ``tests/_gen.py`` programs, bilinear products, layers with
+    non-symmetric weights and extracted derivatives, first stage first.
+
+    Extracted derivatives of a layer have a series in the jet above; those of
+    any other program are checked against ``reverse_chain`` alone.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    v, u = rng.uniform(-0.6, 0.6, size=d), rng.uniform(-1.0, 1.0, size=d)
+    stages, dim = [], d
+    for kind in draw(st.lists(st.sampled_from(["program", "bilinear", "layer", "deriv",
+                                               "deriv_program"]), min_size=1, max_size=4)):
+        out = int(rng.integers(1, 4))
+        if kind.startswith("deriv") and dim > 3:  # its dense tower has dim_in**(K + k) entries
+            kind = "layer"
+        if kind == "program":
+            stage = random_program(rng, dim, out, int(rng.integers(0, 3)))
+        elif kind == "bilinear":
+            a = random_program(rng, dim, int(rng.integers(1, 4)), 1)
+            b = random_program(rng, dim, int(rng.integers(1, 4)), 1)
+            stage = Product((a, b), bilinear=rng.uniform(-1, 1, (out, a.dim_out, b.dim_out)))
+        elif kind == "layer":
+            stage = ContractionLayer(random_multitensor(rng, out, dim, int(rng.integers(2, 4))))
+        elif kind == "deriv":
+            k = int(rng.integers(1, 3)) if dim < 3 else 1
+            stage = ExtractedDerivative(ContractionLayer(random_multitensor(rng, 1, dim, 3)), k)
+        else:
+            stage = ExtractedDerivative(random_program(rng, dim, 1, 1), 1)
+        stages.append(stage)
+        dim = stage.dim_out
+    return stages, v, u, draw(st.integers(0, 3))
+
+
+def _exactly_symmetric(comp):
+    slots = range(1, comp.ndim)
+    return all(np.array_equal(comp, comp.transpose((0,) + perm))
+               for perm in itertools.permutations(slots))
+
+
+@given(chains())
+def test_forward_chain_series_matches_reverse_chain_and_the_jet(case):
+    stages, v, u, order = case
+    fwd = forward_chain(stages, v, order).tower
+    rev = reverse_chain(stages, v, order).tower
+    scale = max(1.0, max(float(np.max(np.abs(c))) for c in rev.components))
+    assert max_component_gap(fwd, rev) <= 1e-10 * scale
+    assert all(_exactly_symmetric(c) for c in fwd.components)
+    deeper = forward_chain(stages, v, order + 1).tower
+    assert all(np.array_equal(a, b) for a, b in zip(fwd.components, deeper.components))
+    if any(type(s) is ExtractedDerivative and type(s.inner) is not ContractionLayer
+           for s in stages):
+        return
+    series = np.zeros((len(v), order + 1))
+    series[:, 0] = v
+    if order:
+        series[:, 1] = u
+    for stage in stages:
+        series = _jet(stage, series)
+    for j, comp in enumerate(fwd.components):
+        got = comp
+        for _ in range(j):
+            got = got @ u
+        scale = max(1.0, float(np.max(np.abs(series[:, j]))) * math.factorial(j))
+        assert np.max(np.abs(got - math.factorial(j) * series[:, j])) <= 1e-12 * scale
