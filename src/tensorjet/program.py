@@ -10,17 +10,17 @@ point, packed into one :class:`~tensorjet.multitensor.MultiTensor`.
 Towers are propagated forward through the DAG: every node combines its
 children's towers using only its own local derivative rule (closed forms for
 affine/polynomial layers, per-order derivative sequences for elementwise
-primitives, a Leibniz product expansion, truncated Horner for an elementwise
-stage and polynomial substitution for any other), so requesting a higher
-order never changes the lower-order components.  Inside the walk a tower is
-packed: a symmetric tower stores each slot orbit once, as the derivative
-d^alpha for each multi-index alpha of degree <= order (the truncated
-polynomial ring; Neidinger, Math. Comp. 74, 2005), so every tower is exactly
-symmetric by construction.  ``derivative_tower`` unpacks the root's tower to
-dense components once, at the end; product, polynomial-layer and
-extracted-derivative nodes, and compositions whose outer stage is not
-elementwise, apply the dense operators of ``multitensor`` and ``operators``
-and convert at their boundary.
+primitives, a Leibniz product expansion, truncated Horner for a run of
+elementwise stages and polynomial substitution for any other outer stage),
+so requesting a higher order never changes the lower-order components.
+Inside the walk a tower is packed: a symmetric tower stores each slot orbit
+once, as the derivative d^alpha for each multi-index alpha of degree <=
+order (the truncated polynomial ring; Neidinger, Math. Comp. 74, 2005), so
+every tower is exactly symmetric by construction.  ``derivative_tower``
+unpacks the root's tower to dense components once, at the end; product,
+polynomial-layer and extracted-derivative nodes, and compositions whose
+outer stage is not elementwise, apply the dense operators of
+``multitensor`` and ``operators`` and convert at their boundary.
 
 A jet pushes a truncated Taylor series through the DAG instead (Griewank,
 Utke & Walther, Math. Comp. 69, 2000; Bettencourt, Johnson & Duvenaud,
@@ -318,7 +318,8 @@ def derivative_tower(program: Program, v, order: int) -> DerivativeTower:
     """Value and all derivative tensors of orders 1..order at the point ``v``.
 
     ``order`` is at most 63, checked before the walk: component j is an array
-    with j + 1 axes.  Jets have no such limit.
+    with j + 1 axes.  Jets have no such limit, but an extracted derivative of
+    order k needs its inner's dense tower at order K + k, so it stops at 63 - k.
     """
     v = _tower_input(program, v, order)
     return DerivativeTower(at=v, tower=_unpack(_walk(program, v, order), program.dim_in, order))
@@ -534,16 +535,18 @@ _ALL_ORDERS = {
 
 def _prim_derivatives(prim: Primitive, v: np.ndarray, k: int, path: str) -> np.ndarray:
     """``out[r, i]`` is the r-th derivative of ``prim`` at ``v[i]``, r = 0..k."""
+    return np.array(_prim_rows(prim, v, k, path), dtype=np.float64).T
+
+
+def _prim_rows(prim: Primitive, v, k: int, path: str) -> list:
+    """``out[i][r]`` is the r-th derivative of ``prim`` at ``v[i]``, r = 0..k, as floats."""
     orders = _ALL_ORDERS.get(prim.deriv_seq)
     if orders is not None:
         try:
-            return np.array([orders(k, float(x)) for x in v], dtype=np.float64).T
+            return [orders(k, float(x)) for x in v]
         except (ArithmeticError, ValueError):
             pass  # the loop below raises the error of the first failing call
-    return np.array(
-        [[_apply_prim(prim, r, x, path) for x in v] for r in range(k + 1)],
-        dtype=np.float64,
-    )
+    return list(zip(*[[_apply_prim(prim, r, x, path) for x in v] for r in range(k + 1)]))
 
 
 # Truncated Horner and series-scaled towers divide by float factorials r!,
@@ -564,8 +567,10 @@ def _check_factorial_order(k: int, path: str, node: str) -> None:
 # A request is ``(node, point, order, path)``: ``order`` None asks for the
 # node's value at ``point``, an integer for its derivative tower to that
 # order, and a pair ``(n, K)`` for its jet in n variables to degree K along
-# the input series ``point``.  Every node type has one rule per kind of
-# request.  A leaf rule returns its result; any other rule is a generator
+# the input series ``point``.  A negative order ``~k`` asks an elementwise
+# ``Compose`` for its run to order k (see ``_compose_run``), so that a shared
+# link of a run answers from the memo.  Every node type has one rule per kind
+# of request.  A leaf rule returns its result; any other rule is a generator
 # that yields its children's requests, is sent their results, and returns
 # its own.  The driver keeps the open generators on a list, so the Python
 # stack does not grow with the depth of the DAG.
@@ -612,7 +617,8 @@ def _walk(root: Program, point: np.ndarray, order):
         rules = _RULES.get(type(node))
         if rules is None:
             raise TypeError(f"unknown program node {type(node).__name__}")
-        result = rules[0 if k is None else 2 if type(k) is tuple else 1](node, at, k, path)
+        column = 0 if k is None else 2 if type(k) is tuple else 1 if k >= 0 else 3
+        result = rules[column](node, at, k, path)
         if type(result) is GeneratorType:
             stack.append((result, entry))
             result = None
@@ -684,10 +690,14 @@ def _extracted_value(p, v, k, path):
 # one ``(dim_out, C(dim_in+k, k))`` array of derivatives, one per
 # multi-index in graded order, so every tower is exactly symmetric by
 # construction.  Identity, constant, affine, elementwise and sum nodes build
-# or add packed arrays directly, and an elementwise stage over any inner node
-# runs truncated Horner on the packed inner tower.  Product, polynomial-layer
-# and extracted-derivative nodes, and compositions with any other outer node,
-# apply their dense operators and convert at their boundary.
+# or add packed arrays directly.  A run of elementwise stages, each a
+# ``Compose`` over the next, is one local rule over its base, the first node
+# below it that is not such a stage: the stages act on each coordinate as one
+# univariate function, so their truncated series compose in a balanced tree
+# and one truncated Horner applies the composite to the base's packed tower.
+# Product, polynomial-layer and extracted-derivative nodes, and compositions
+# with any other outer node, apply their dense operators and convert at their
+# boundary.
 
 def _identity_tower(p, v, k, path):
     out = np.zeros((p.dim, math.comb(p.dim + k, k)))
@@ -765,12 +775,11 @@ def _product_tower(p, v, k, path):
 
 
 def _compose_tower(p, v, k, path):
+    if _in_run(p):
+        base, degree, coeffs = yield p, v, ~k, path  # the run that ends at p
+        return _horner_coeffs(_compose_series(coeffs).T, base, p.dim_in, degree)
     inner = yield p.inner, v, k, path + "/compose.inner"
     mid = inner[:, 0].copy()
-    if isinstance(p.outer, Elementwise):
-        _check_factorial_order(k, path + "/compose.outer", f"elem({p.outer.fn.name})")
-        fvals = _prim_derivatives(p.outer.fn, mid, k, path + "/compose.outer")
-        return _horner(fvals, inner, p.dim_in, _tower_degree(p.inner, k))
     from .operators import compose_towers
 
     outer = yield p.outer, mid, k, path + "/compose.outer"
@@ -780,19 +789,92 @@ def _compose_tower(p, v, k, path):
     ).tower.components, p.dim_in)
 
 
+def _in_run(node: Program) -> bool:
+    """Whether ``node`` is an elementwise stage over an inner node: one link of a run."""
+    return type(node) is Compose and isinstance(node.outer, Elementwise)
+
+
+def _compose_run(p, v, k, path):
+    """The run of elementwise stages that ends at ``p``, for a request of order ``~k``.
+
+    Returns ``(base, degree, coeffs)``: the packed order-k tower of the run's
+    base, the first node below it that is not a link, with its degree bound,
+    and ``coeffs[j, i, r]`` = f_j^(r)(x_ij) / r!, stage j = 0 the lowest, at
+    its input x_ij.  A shared link (``uses`` > 1) below ``p`` answers its own
+    run through the walk's memo and this one extends it, so every stage's
+    derivatives are evaluated once per walk and the coefficients are those
+    of a run that nothing shares.  Stages are evaluated from the base up, so
+    an error names the deepest failing stage.
+    """
+    k = ~k
+    stages = []
+    node = p
+    while True:
+        stages.append((node.outer, path + "/compose.outer"))
+        node, path = node.inner, path + "/compose.inner"
+        if not _in_run(node) or node.uses > 1:
+            break
+    if _in_run(node):
+        base, degree, low = yield node, v, ~k, path
+        x = low[-1, :, 0]
+    else:
+        base = yield node, v, k, path
+        degree, low, x = _tower_degree(node, k), None, base[:, 0]
+    rows = []
+    for outer, at in reversed(stages):
+        _check_factorial_order(k, at, f"elem({outer.fn.name})")
+        rows.append(_prim_rows(outer.fn, x, k, at))
+        x = [f[0] for f in rows[-1]]
+    coeffs = np.array(rows, dtype=np.float64) / _column_factorials(1, k)
+    return base, degree, coeffs if low is None else np.concatenate([low, coeffs])
+
+
+def _compose_series(coeffs: np.ndarray) -> np.ndarray:
+    """Taylor coefficients ``[i, r]`` of the composite of a run's stage series ``coeffs``.
+
+    ``coeffs[j, i]`` is stage j's series in coordinate i, expanded at its
+    input; composition is associative, so the stages pair up from the base
+    (stage 0) in a balanced tree (Brent & Kung, J. ACM 25, 1978), each level
+    one truncated Horner over all pairs and coordinates.  An odd last
+    series waits for the next level.  The tree's shape depends on the number
+    of stages alone, so a deeper series leaves the lower coefficients as
+    they are.
+    """
+    _, d, width = coeffs.shape
+    while coeffs.shape[0] > 1:
+        pairs = coeffs.shape[0] // 2
+        inner = coeffs[0:2 * pairs:2].reshape(pairs * d, width)
+        outer = coeffs[1:2 * pairs:2].reshape(pairs * d, width)
+        top = _horner_coeffs(outer.T, inner, 1, width - 1, series=True)
+        coeffs = np.concatenate([top.reshape(pairs, d, width), coeffs[2 * pairs:]])
+    return coeffs[0]
+
+
 def _horner(fvals: np.ndarray, inner: np.ndarray, dim_in: int, degree: int,
             series: bool = False) -> np.ndarray:
     """Packed tower of f(g) from ``fvals[r, i]`` = f^(r)(g_i(v)) and g's packed tower.
 
-    Truncated Horner, f(g0 + s) = sum_r f^(r)(g0)/r! s^r with s = g - g0,
-    g of ``degree`` at most: the step for r needs only degrees up to k - r, a
-    prefix in graded order, and multiplies by s over the prefix of the pair
-    table that reaches it, so a deeper tower leaves the lower entries as they are.
-    With ``series`` g and the result are in series scaling (unit weights).
+    ``_horner_coeffs`` on the Taylor coefficients f^(r)(g0)/r!.
     """
     k = fvals.shape[0] - 1
-    coeffs = fvals / _column_factorials(1, k)[:, None]
-    h = np.zeros((fvals.shape[1], math.comb(dim_in + k, k)))
+    return _horner_coeffs(fvals / _column_factorials(1, k)[:, None], inner, dim_in, degree,
+                          series)
+
+
+def _horner_coeffs(coeffs: np.ndarray, inner: np.ndarray, dim_in: int, degree: int,
+                   series: bool = False) -> np.ndarray:
+    """Packed tower of f(g) from ``coeffs[r, i]``, f_i's Taylor coefficients at g_i(v).
+
+    Truncated Horner, f(g0 + s) = sum_r coeffs[r] s^r with s = g - g0, g of
+    ``degree`` at most and its packed tower ``inner``: the step for r needs
+    only degrees up to k - r, a prefix in graded order, and multiplies by s
+    over the prefix of the pair table that reaches it, so a deeper tower
+    leaves the lower entries as they are.  With ``series`` g and the result
+    are in series scaling (unit weights); with ``dim_in`` 1 and ``series``
+    it composes univariate series.
+    """
+    k = coeffs.shape[0] - 1
+    h = np.zeros((coeffs.shape[1], math.comb(dim_in + k, k)))
     h[:, 0] = coeffs[k if degree else 0]  # a constant g (degree 0) is all its value
     if degree:
         ia, weight, steps = _horner_steps(dim_in, k, degree)
@@ -819,6 +901,12 @@ def _tower_degree(node: Program, k: int) -> int:
 def _extracted_tower(p, v, k, path):
     from .operators import order_reduce
 
+    if k + p.k > _MAX_DENSE_ORDER:
+        raise ValueError(
+            f"{path or '/'}: deriv: order {k} is above {_MAX_DENSE_ORDER - p.k}, the largest "
+            f"for a derivative of order {p.k} (it needs its inner's dense tower to order "
+            f"{k + p.k}, component j has j + 1 axes, and numpy arrays have at most 64)"
+        )
     deep = yield p.inner, v, k + p.k, path + "/deriv.inner"
     deep = DerivativeTower(at=v, tower=_unpack(deep, p.dim_in, k + p.k))
     for _ in range(p.k):
@@ -901,7 +989,7 @@ _RULES = {
     Elementwise: (_elementwise_value, _elementwise_tower, _elementwise_jet),
     Sum: (_sum_value, _sum_tower, _sum_value),
     Product: (_product_value, _product_tower, _product_jet),
-    Compose: (_compose_value, _compose_tower, _compose_value),
+    Compose: (_compose_value, _compose_tower, _compose_value, _compose_run),
     ExtractedDerivative: (_extracted_value, _extracted_tower, _extracted_jet),
 }
 

@@ -335,9 +335,14 @@ class TestCleanFailures:
         ("(elem sin)", ("taylor", "--at", "[0.1]", "--order", "64", "--h", "0.1", "--dir", "[1]"),
          2, "order 64 is above 63, the largest of a dense tower "
             "(component j has j + 1 axes, and numpy arrays have at most 64)"),
+        ("(deriv (elem sin) 1)",
+         ("reduce-sum", "--at", "[0.1]", "--dir", "[0.2]", "--order", "63", "--n", "3"),
+         2, "/: deriv: order 63 is above 62, the largest for a derivative of order 1 "
+            "(it needs its inner's dense tower to order 64, component j has j + 1 axes, "
+            "and numpy arrays have at most 64)"),
     ], ids=["reduce-sum-overflow", "tau-inf", "reciprocal-underflow", "log-underflow",
             "taylor-overflow", "mismatch-line-3", "non-integer-dim", "reduce-sum-order-171",
-            "tau-order-64", "taylor-order-64"])
+            "tau-order-64", "taylor-order-64", "reduce-sum-deriv-order-63"])
     def test_one_line_and_exit_code(self, capsys, tmp_path, text, argv, code, message):
         f = tmp_path / "prog.sexp"
         f.write_text(text)

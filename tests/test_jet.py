@@ -30,7 +30,7 @@ from tensorjet import (
     reduction_velocity,
 )
 from tensorjet.multitensor import ShapeMismatchError
-from tensorjet.program import jet
+from tensorjet.program import Primitive, _sin_seq, jet
 
 from _gen import random_bilinear_product, random_multitensor, random_program, rel_gap
 
@@ -183,20 +183,15 @@ def test_orders_above_170_that_divide_by_factorials_are_domain_errors():
     # truncated Horner and series-scaled products divide by r!, and 171! overflows a float
     sin_affine = Compose(Elementwise(get_primitive("sin")), Affine([[0.5]], [0.1]))
     limit = "order 171 is above 170, the largest whose factorial is a float"
-    # dense towers stop at order 63, so a tower rule sees order 171 only inside
-    # the jet of an extracted derivative, which asks for its inner's tower
+    # dense towers stop at order 63, and an extracted derivative of order k at
+    # 63 - k, so these are jets
     cases = [
-        (lambda: jet(ExtractedDerivative(sin_affine, 1), ray_series([0.1], [0.2], 170)),
-         f"/deriv.inner/compose.outer: elem(sin): {limit}"),
         (lambda: jet(sin_affine, ray_series([0.1], [0.2], 171)),
          f"/compose.outer: elem(sin): {limit}"),
         (lambda: reduce_sum_apply(sin_affine, [0.1], [0.2], 3, 171),
          f"/compose.outer: elem(sin): {limit}"),
         (lambda: reduction_velocity(Elementwise(get_primitive("sin")), [0.1], [0.2], 3, 1, 171),
          f"/: elem(sin): {limit}"),
-        (lambda: jet(ExtractedDerivative(Product((Identity(1), Identity(1))), 1),
-                     ray_series([0.1], [0.2], 170)),
-         f"/deriv.inner: prod: {limit}"),
     ]
     for run, message in cases:
         with pytest.raises(DomainEvalError) as err:
@@ -225,6 +220,39 @@ def test_dense_towers_stop_at_order_63_before_any_walk(monkeypatch):
             "(component j has j + 1 axes, and numpy arrays have at most 64)")
     monkeypatch.undo()
     assert jet(sin, ray_series([0.1], [0.2], 170)).shape == (1, 171)
+
+
+def test_extracted_derivative_stops_at_order_63_minus_k_before_its_inner():
+    # it asks for its inner's dense tower at order K + k, and component j of a
+    # dense tower has j + 1 axes; a jet of it asks for that tower too
+    calls = []
+
+    def counted_sin(j, x):
+        calls.append(j)
+        return _sin_seq(j, x)
+
+    inner = Compose(Elementwise(Primitive("counted_sin", counted_sin)), Affine([[0.5]], [0.1]))
+    for k, limit in ((1, 62), (2, 61)):
+        deriv = ExtractedDerivative(inner, k)
+        assert jet(deriv, ray_series([0.1], [0.2], limit)).shape == (1, limit + 1)
+        assert derivative_tower(deriv, [0.1], limit).order == limit
+        calls.clear()
+        runs = [(order, "/", lambda order=order: jet(deriv, ray_series([0.1], [0.2], order)))
+                for order in (limit + 1, 170)]
+        runs += [
+            (limit + 1, "/", lambda: derivative_tower(deriv, [0.1], limit + 1)),
+            (limit + 1, "/sum[1]", lambda: jet(Sum([Identity(1), deriv]),
+                                                ray_series([0.1], [0.2], limit + 1))),
+        ]
+        for order, path, run in runs:
+            with pytest.raises(ValueError) as err:
+                run()
+            assert type(err.value) is ValueError
+            assert str(err.value) == (
+                f"{path}: deriv: order {order} is above {limit}, the largest for a "
+                f"derivative of order {k} (it needs its inner's dense tower to order "
+                f"{order + k}, component j has j + 1 axes, and numpy arrays have at most 64)")
+        assert calls == []
 
 
 def test_domain_error_message_matches_the_tower_path():

@@ -43,7 +43,7 @@ from tensorjet.multitensor import (
 )
 import tensorjet.operators as operators_module
 from tensorjet.operators import reduction_commutes
-from tensorjet.program import DerivativeTower, _horner
+from tensorjet.program import DerivativeTower, _horner, _prim_derivatives, _tower_degree
 
 from _gen import (
     fd_hessian,
@@ -228,24 +228,31 @@ class TestDiagonalChainRule:
         """Horner on the packed inner tower against ``compose_towers``.
 
         For an elementwise outer the substitution's nested sums are Horner's
-        steps, so over these cases the two agree bit for bit.  Where the walk
-        knows the inner is affine it sums over a pair table cut to degree 1,
-        in shorter blocks, and the two can differ by rounding (up to 2.8e-17
-        of max(1, |component|) over 300 random affine inners, d 3-5).  The
-        tower is exactly symmetric and finite.
+        steps, so over these cases the two agree bit for bit.  Where the
+        inner is affine Horner sums over a pair table cut to degree 1, in
+        shorter blocks, and the two can differ by rounding (up to 2.8e-17 of
+        max(1, |component|) over 300 random affine inners, d 3-5).  The tower
+        is exactly symmetric and finite.  Where the inner is not itself an
+        elementwise stage, the outer is a run of one stage, and the walk's
+        tower is this kernel's, bit for bit.
         """
         prim = get_primitive(name)
         for inner, v, k in self._cases(name, 41):
             d = inner.dim_out
             outer = Elementwise(prim, d)
-            got = derivative_tower(Compose(outer, inner), v, k)
             inner_tower = derivative_tower(inner, v, k)
+            fvals = _prim_derivatives(prim, inner_tower.value, k, "")
+            packed = _pack(inner_tower.tower.components, d)
+            got = _unpack(_horner(fvals, packed, d, _tower_degree(inner, k)), d, k)
             dense = compose_towers(
                 derivative_tower(outer, inner_tower.value, k), inner_tower
             )
-            _assert_close(got.tower, dense.tower, rel=1e-15)
-            assert got.tower.is_symmetric(tol=0.0)
-            assert all(np.all(np.isfinite(c)) for c in got.tower.components)
+            _assert_close(got, dense.tower, rel=1e-15)
+            assert got.is_symmetric(tol=0.0)
+            assert all(np.all(np.isfinite(c)) for c in got.components)
+            if not (type(inner) is Compose and isinstance(inner.outer, Elementwise)):
+                walked = derivative_tower(Compose(outer, inner), v, k).tower
+                assert _bitwise_equal(walked, got)
 
     @pytest.mark.parametrize("name", DIAGONAL_PRIMS)
     def test_raising_the_order_keeps_lower_components(self, name):
