@@ -38,8 +38,9 @@ dense d^j tensors.  Those kernels never read an entry above the one they
 produce, so a deeper jet leaves the lower coefficients bitwise unchanged.
 
 So every node type has three local rules: its value, its derivative tower,
-and its jet.  Where a rule only adds or passes results on (identity, sum,
-composition) the value rule serves jets too.
+and its jet.  Where a rule only adds or passes results on (identity, sum)
+the value rule serves jets too.  A composition passes jets on stage by
+stage, but the value of a run of elementwise stages is one pass in floats.
 
 Each node type is one slotted class whose constructor checks its arguments,
 sets the node's ``signature`` and ``children`` and adds one to each child's
@@ -61,6 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from types import GeneratorType
 from typing import Callable
 
@@ -433,15 +435,33 @@ def _tanh_poly(j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _tanh_row(j: int) -> tuple[float, ...]:
+    # T_j's coefficients as floats, highest first, for Horner in t.  Adding
+    # float(c) rounds as adding the integer c does, and raises the same
+    # OverflowError where c is above the largest float (from j = 164).
+    return tuple(float(c) for c in reversed(_tanh_poly(j)))
+
+
+@lru_cache(maxsize=None)
+def _tanh_table(k: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(_tanh_row(j) for j in range(k + 1))
+
+
+def _tanh_rows(rows, x):
+    # Horner in t = tanh(x) over each row of float coefficients, in one call
+    t = math.tanh(x)
+    out = []
+    for row in rows:
+        acc = 0.0
+        for c in row:
+            acc = acc * t + c
+        out.append(acc)
+    return out
+
+
 def _tanh_seq(j, x):
-    return _tanh_poly_at(j, math.tanh(x))
-
-
-def _tanh_poly_at(j, t):
-    acc = 0.0
-    for c in reversed(_tanh_poly(j)):
-        acc = acc * t + c
-    return acc
+    return _tanh_rows((_tanh_row(j),), x)[0]
 
 
 def _recip_seq(j, x):
@@ -513,13 +533,7 @@ def _apply_prim(prim: Primitive, j: int, x: float, path: str) -> float:
 
 def _sin_orders(k, x):
     s, c = math.sin(x), math.cos(x)
-    cycle = (s, c, -s, -c)
-    return [cycle[j % 4] for j in range(k + 1)]
-
-
-def _tanh_orders(k, x):
-    t = math.tanh(x)
-    return [_tanh_poly_at(j, t) for j in range(k + 1)]
+    return ([s, c, -s, -c] * (k // 4 + 1))[:k + 1]
 
 
 # Derivatives of orders 0..k at x of the built-in sequences whose every
@@ -529,23 +543,43 @@ _ALL_ORDERS = {
     _exp_seq: lambda k, x: [math.exp(x)] * (k + 1),
     _sin_seq: _sin_orders,
     _cos_seq: lambda k, x: _sin_orders(k + 1, x)[1:],
-    _tanh_seq: _tanh_orders,
+    _tanh_seq: lambda k, x: _tanh_rows(_tanh_table(k), x),
+}
+
+# The same sequences at order 0: ``deriv_seq(0, x)``'s bits in one call.
+_VALUES = {
+    _exp_seq: math.exp,
+    _sin_seq: math.sin,
+    _cos_seq: math.cos,
+    _tanh_seq: lambda x: math.tanh(x) + 0.0,  # Horner's last step turns -0 into +0
 }
 
 
 def _prim_derivatives(prim: Primitive, v: np.ndarray, k: int, path: str) -> np.ndarray:
     """``out[r, i]`` is the r-th derivative of ``prim`` at ``v[i]``, r = 0..k."""
-    return np.array(_prim_rows(prim, v, k, path), dtype=np.float64).T
+    rows = _all_orders(prim, v.tolist(), k)
+    if rows is None:
+        rows = _per_order(prim, v, k, path)
+    return np.array(rows, dtype=np.float64).T
 
 
-def _prim_rows(prim: Primitive, v, k: int, path: str) -> list:
-    """``out[i][r]`` is the r-th derivative of ``prim`` at ``v[i]``, r = 0..k, as floats."""
+def _all_orders(prim: Primitive, xs: list, k: int) -> list | None:
+    """``out[i][r]``, the r-th derivative of ``prim`` at ``xs[i]``, r = 0..k, as floats.
+
+    None where ``prim`` has no all-orders kernel or a call fails: the caller
+    then runs ``_per_order``, which raises the first failing call's error.
+    """
     orders = _ALL_ORDERS.get(prim.deriv_seq)
     if orders is not None:
         try:
-            return [orders(k, float(x)) for x in v]
+            return [orders(k, x) for x in xs]
         except (ArithmeticError, ValueError):
-            pass  # the loop below raises the error of the first failing call
+            pass
+    return None
+
+
+def _per_order(prim: Primitive, v, k: int, path: str) -> list:
+    """``_all_orders`` by one ``_apply_prim`` call per order and entry, order by order."""
     return list(zip(*[[_apply_prim(prim, r, x, path) for x in v] for r in range(k + 1)]))
 
 
@@ -630,10 +664,49 @@ def _ask(node, point, order):
     return (yield node, point, order, "")
 
 
+# --- runs of elementwise stages -----------------------------------------------
+#
+# A run is a chain of links ``Compose(Elementwise, inner)`` down to its base,
+# the first node below that is not a link.  The stages act on each coordinate
+# as one univariate map, so a run's value and tower are each one local rule
+# over its base.
+
+def _in_run(node: Program) -> bool:
+    """Whether ``node`` is an elementwise stage over an inner node: one link of a run."""
+    return type(node) is Compose and isinstance(node.outer, Elementwise)
+
+
+def _run_stages(p: Program) -> tuple[list, Program]:
+    """The stage primitives of the run that ends at ``p``, top first, and the node below them.
+
+    The run goes down the links from ``p`` and stops above the first node
+    that is not a link, or that is a shared link (``uses`` > 1): that node
+    answers its own request, through the walk's memo, and this run extends
+    its result, so every stage is evaluated once per walk.
+    """
+    fns = []
+    node = p
+    while True:
+        fns.append(node.outer.fn)
+        node = node.inner
+        if not _in_run(node) or node.uses > 1:
+            return fns, node
+
+
+_INNER = "/compose.inner"
+
+
+def _stage_path(path: str, depth: int) -> str:
+    """Path of the stage ``depth`` links below the run link at ``path``; built for errors."""
+    return path + _INNER * depth + "/compose.outer"
+
+
 # --- values -------------------------------------------------------------------
 #
-# The identity, sum and composition rules pass ``k`` on to their children,
-# so they serve jet requests as well as value requests.
+# The identity and sum rules, and composition's stage-by-stage rule, pass
+# ``k`` on to their children, so they serve jet requests as well as value
+# requests.  A link of a run of elementwise stages (see ``_run_stages``) asks
+# its base for a value once and applies every stage to it in one loop.
 
 def _identity_value(p, v, k, path):
     return v.copy()
@@ -675,8 +748,40 @@ def _product_value(p, v, k, path):
 
 
 def _compose_value(p, v, k, path):
+    if _in_run(p):
+        return _run_value(p, v, path)
+    return _compose_stages(p, v, k, path)
+
+
+def _compose_stages(p, v, k, path):
+    # also the jet rule, so a run's jet is pushed through it stage by stage
     mid = yield p.inner, v, k, path + "/compose.inner"
     return (yield p.outer, mid, k, path + "/compose.outer")
+
+
+def _run_value(p, v, path):
+    """Value of the run that ends at ``p``: its stages over its base's value, in floats.
+
+    The stages run from the base up, each over every coordinate, as the
+    stage-by-stage walk runs them.  A built-in sequence calls its order-0
+    function; any other primitive, or a call that fails, goes through
+    ``_apply_prim`` with the stage's path, so values and errors keep their
+    bits and text.
+    """
+    fns, base = _run_stages(p)
+    xs = (yield base, v, None, path + _INNER * len(fns)).tolist()
+    for depth in range(len(fns) - 1, -1, -1):
+        fn = fns[depth]
+        value = _VALUES.get(fn.deriv_seq)
+        if value is not None:
+            try:
+                xs = [value(x) for x in xs]
+                continue
+            except (ArithmeticError, ValueError):
+                pass
+        at = _stage_path(path, depth)
+        xs = [_apply_prim(fn, 0, x, at) for x in xs]
+    return np.array(xs, dtype=np.float64)
 
 
 def _extracted_value(p, v, k, path):
@@ -789,43 +894,40 @@ def _compose_tower(p, v, k, path):
     ).tower.components, p.dim_in)
 
 
-def _in_run(node: Program) -> bool:
-    """Whether ``node`` is an elementwise stage over an inner node: one link of a run."""
-    return type(node) is Compose and isinstance(node.outer, Elementwise)
-
-
 def _compose_run(p, v, k, path):
     """The run of elementwise stages that ends at ``p``, for a request of order ``~k``.
 
     Returns ``(base, degree, coeffs)``: the packed order-k tower of the run's
     base, the first node below it that is not a link, with its degree bound,
     and ``coeffs[j, i, r]`` = f_j^(r)(x_ij) / r!, stage j = 0 the lowest, at
-    its input x_ij.  A shared link (``uses`` > 1) below ``p`` answers its own
-    run through the walk's memo and this one extends it, so every stage's
-    derivatives are evaluated once per walk and the coefficients are those
-    of a run that nothing shares.  Stages are evaluated from the base up, so
-    an error names the deepest failing stage.
+    its input x_ij.  A shared link below ``p`` answers its own run (see
+    ``_run_stages``), so the coefficients are those of a run that nothing
+    shares.  Stages are evaluated from the base up, so an error names the
+    deepest failing stage.
     """
     k = ~k
-    stages = []
-    node = p
-    while True:
-        stages.append((node.outer, path + "/compose.outer"))
-        node, path = node.inner, path + "/compose.inner"
-        if not _in_run(node) or node.uses > 1:
-            break
+    fns, node = _run_stages(p)
+    below = path + _INNER * len(fns)
     if _in_run(node):
-        base, degree, low = yield node, v, ~k, path
-        x = low[-1, :, 0]
+        base, degree, low = yield node, v, ~k, below
+        xs = low[-1, :, 0].tolist()
     else:
-        base = yield node, v, k, path
-        degree, low, x = _tower_degree(node, k), None, base[:, 0]
+        base = yield node, v, k, below
+        degree, low, xs = _tower_degree(node, k), None, base[:, 0].tolist()
+    # one check per run, naming its lowest stage; no stage path unless one fails
+    if k > _MAX_FACTORIAL_ORDER:
+        _check_factorial_order(k, _stage_path(path, len(fns) - 1), f"elem({fns[-1].name})")
     rows = []
-    for outer, at in reversed(stages):
-        _check_factorial_order(k, at, f"elem({outer.fn.name})")
-        rows.append(_prim_rows(outer.fn, x, k, at))
-        x = [f[0] for f in rows[-1]]
-    coeffs = np.array(rows, dtype=np.float64) / _column_factorials(1, k)
+    for depth in range(len(fns) - 1, -1, -1):
+        fn = fns[depth]
+        row = _all_orders(fn, xs, k)
+        if row is None:
+            row = _per_order(fn, xs, k, _stage_path(path, depth))
+        rows.append(row)
+        xs = [f[0] for f in row]
+    flat = chain.from_iterable(chain.from_iterable(rows))
+    coeffs = np.fromiter(flat, np.float64, len(rows) * len(xs) * (k + 1))
+    coeffs = coeffs.reshape(len(rows), len(xs), k + 1) / _column_factorials(1, k)
     return base, degree, coeffs if low is None else np.concatenate([low, coeffs])
 
 
@@ -989,7 +1091,7 @@ _RULES = {
     Elementwise: (_elementwise_value, _elementwise_tower, _elementwise_jet),
     Sum: (_sum_value, _sum_tower, _sum_value),
     Product: (_product_value, _product_tower, _product_jet),
-    Compose: (_compose_value, _compose_tower, _compose_value, _compose_run),
+    Compose: (_compose_value, _compose_tower, _compose_stages, _compose_run),
     ExtractedDerivative: (_extracted_value, _extracted_tower, _extracted_jet),
 }
 

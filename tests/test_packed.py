@@ -25,7 +25,7 @@ from tensorjet import (
 )
 from tensorjet import multitensor
 from tensorjet.multitensor import _monomials, _orbit_index, _pack, _pair_table, _unpack
-from tensorjet.program import _apply_prim, _horner, _prim_derivatives
+from tensorjet.program import _apply_prim, _horner, _prim_derivatives, _tanh_poly
 
 from _gen import random_multitensor, random_program
 
@@ -150,6 +150,31 @@ def test_primitive_derivatives_keep_every_bit_and_error(name):
         for k in range(25):
             got = _outcome(lambda: _prim_derivatives(prim, v, k, "/x"))
             assert got == _outcome(lambda: _per_order(prim, v, k, "/x")), (v, k)
+
+
+def _tanh_by_integer_horner(j, x):
+    """T_j(tanh x) by Horner over ``_tanh_poly``'s integer coefficients, in Python floats."""
+    t = math.tanh(x)
+    acc = 0.0
+    for c in reversed(_tanh_poly(j)):
+        acc = acc * t + c
+    return acc
+
+
+def test_tanh_derivatives_match_an_integer_coefficient_horner():
+    """An oracle apart from the float coefficient table that tanh's kernels read."""
+    prim = get_primitive("tanh")
+    for k in range(25):
+        want = np.array([[_tanh_by_integer_horner(j, x) for x in POINTS] for j in range(k + 1)])
+        assert _prim_derivatives(prim, np.array(POINTS), k, "/x").tobytes() == want.tobytes()
+        for i, x in enumerate(POINTS):
+            assert np.float64(prim.deriv_seq(k, x)).tobytes() == want[k, i].tobytes()
+    # from order 164 a coefficient is above the largest float, as an error
+    with pytest.raises(OverflowError) as want:
+        _tanh_by_integer_horner(164, 0.3)
+    with pytest.raises(DomainEvalError) as got:
+        _prim_derivatives(prim, np.array([0.3]), 164, "/x")
+    assert str(got.value) == f"/x: elem(tanh) failed at 0.3: {want.value}"
 
 
 def test_unpacked_components_are_fresh_read_only_and_equal_to_a_copying_build():

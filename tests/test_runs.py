@@ -17,15 +17,17 @@ from tensorjet import (
     Compose,
     DomainEvalError,
     Elementwise,
+    Identity,
     Product,
     Sum,
     derivative_tower,
     evaluate,
     get_primitive,
     jet,
+    primitive_library,
 )
 from tensorjet.multitensor import _monomials, _pack
-from tensorjet.program import Primitive, _horner, _prim_derivatives, _sin_seq
+from tensorjet.program import Primitive, _apply_prim, _horner, _prim_derivatives, _sin_seq
 
 U = 2.0**-53  # unit roundoff of float64
 
@@ -224,6 +226,16 @@ def test_each_stage_derivative_is_evaluated_once():
         total = total + t
     assert _same_bits(tower, total)
 
+    calls.clear()
+    value = evaluate(Sum(prefixes()), [0.3])
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 64
+    assert all(j == 0 for j, _ in calls)
+    fresh = [evaluate(p, [0.3]) for p in prefixes()]
+    total = fresh[0]
+    for x in fresh[1:]:
+        total = total + x
+    assert _same_bits(value, total)
+
 
 def test_deeper_order_keeps_lower_orders_of_a_200_stage_run():
     p = _chain(Affine([[0.7, 0.4], [-0.3, 0.6]], [0.05, -0.1]), _sin_tanh(200), 2)
@@ -233,6 +245,75 @@ def test_deeper_order_keeps_lower_orders_of_a_200_stage_run():
         high = _packed(p, v, k)
         assert _same_bits(high[:, :low.shape[1]], low), k
         low = high
+
+
+# --- values ------------------------------------------------------------------------
+
+SPECIAL = [0.0, -0.0, 1e-320, -1e-320, 1e300, -1e300, math.inf, -math.inf, math.nan,
+           0.5, -1.3, 3.0, 710.0]
+
+
+def _wobble(j, x):
+    if abs(x) > 1e100:
+        raise DomainEvalError("wobble out of range")
+    if j == 0:
+        return math.sin(x) / 2 + x
+    return _sin_seq(j, x) / 2 + (j == 1)
+
+
+def _value_prims():
+    return [get_primitive(name) for name in sorted(primitive_library())] + [
+        get_primitive("pow3"), Primitive("wobble", _wobble)]
+
+
+def _reference(node, v, path=""):
+    """Value of ``node`` with every link of a run evaluated as its own stage, from the base up."""
+    fns = []
+    while type(node) is Compose and type(node.outer) is Elementwise:
+        fns.append(node.outer.fn)
+        node = node.inner
+    x = np.asarray(v, dtype=np.float64) if type(node) is Identity else evaluate(node, v)
+    for depth in range(len(fns) - 1, -1, -1):
+        at = path + "/compose.inner" * depth + "/compose.outer"
+        x = np.array([_apply_prim(fns[depth], 0, xi, at) for xi in x], dtype=np.float64)
+    return x
+
+
+def _value_outcome(run):
+    try:
+        with np.errstate(all="ignore"):
+            return run().tobytes()
+    except DomainEvalError as exc:
+        return str(exc)
+
+
+def test_run_values_match_the_stage_by_stage_reference():
+    """Random runs over every primitive, with links shared at random places, at
+    points that hold signed zeros, subnormals, huge values, infinities and NaN:
+    the value pass keeps each stage's bits and each error's text and path."""
+    rng = np.random.default_rng(17)
+    prims = _value_prims()
+    seen = set()
+    for case in range(400):
+        d = 1 + case % 3
+        base = Identity(d) if case % 2 else Affine(rng.uniform(-1, 1, (d, d)),
+                                                   rng.uniform(-0.5, 0.5, d))
+        p, extra = base, []
+        for _ in range(int(rng.integers(1, 13))):
+            p = Compose(Elementwise(prims[int(rng.integers(len(prims)))], d), p)
+            if rng.random() < 0.25:  # a second parent makes this link shared
+                extra.append(Compose(Elementwise(prims[int(rng.integers(len(prims)))], d), p))
+        v = rng.choice(SPECIAL, size=d) if case % 2 else rng.uniform(-2, 2, d)
+        got = _value_outcome(lambda: evaluate(p, v))
+        assert got == _value_outcome(lambda: _reference(p, v)), (case, v)
+        seen.add(type(got))
+        if extra:  # the same shared links, reached first through the run of p
+            both = Sum([p, extra[-1]])
+            got = _value_outcome(lambda: evaluate(both, v))
+            want = _value_outcome(lambda: _reference(p, v, "/sum[0]")
+                                  + _reference(extra[-1], v, "/sum[1]"))
+            assert got == want, (case, v)
+    assert seen == {bytes, str}
 
 
 # --- the error contract ------------------------------------------------------------
