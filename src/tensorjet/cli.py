@@ -15,7 +15,8 @@ are printed with 17 significant digits.  Exit codes: 0 success, 1 usage,
 parse or output error (a stdout closed before the output is written, as by
 ``| head -c 1``, included), 2 numerical/domain failure, a non-finite result
 included; a failing run prints nothing on stdout.  Diagnostics go to stderr
-only, one line per failure.
+only, one line per failure and one ``tensorjet: warning: <message>`` line per
+distinct warning, such as a point outside the series radius of ``iterate``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +180,7 @@ def main(argv=None) -> int:
                 code = run_selftest()
                 sys.stdout.flush()
                 return code
-            lines = _dispatch(args, parser)
+            lines = _dispatch_warning_once(args, parser)
     except BrokenPipeError:
         return _stdout_closed()
     except SexprError as exc:
@@ -210,6 +212,17 @@ def _stdout_closed() -> int:
     print("tensorjet: output error: stdout was closed before the output was written",
           file=sys.stderr)
     return USAGE_ERROR
+
+
+def _dispatch_warning_once(args, parser) -> list[str]:
+    """``_dispatch``, with each distinct warning it raised written once to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return _dispatch(args, parser)
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"tensorjet: warning: {message}", file=sys.stderr)
 
 
 def _dispatch(args, parser) -> list[str]:

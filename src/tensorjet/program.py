@@ -38,9 +38,12 @@ dense d^j tensors.  Those kernels never read an entry above the one they
 produce, so a deeper jet leaves the lower coefficients bitwise unchanged.
 
 So every node type has three local rules: its value, its derivative tower,
-and its jet.  Where a rule only adds or passes results on (identity, sum)
-the value rule serves jets too.  A composition passes jets on stage by
-stage, but the value of a run of elementwise stages is one pass in floats.
+and its jet.  Where a rule only adds or passes results on, the value rule
+serves the other requests too: identity's serves jets, sum's towers and
+jets.  A composition passes jets on stage by stage.  The value of a run of
+elementwise stages, and the derivatives of its stages, are one pass in
+floats from its base up; a lone elementwise node takes the same pass, with
+one table of kernels for the built-in primitives.
 
 Each node type is one slotted class whose constructor checks its arguments,
 sets the node's ``signature`` and ``children`` and adds one to each child's
@@ -536,64 +539,17 @@ def _sin_orders(k, x):
     return ([s, c, -s, -c] * (k // 4 + 1))[:k + 1]
 
 
-# Derivatives of orders 0..k at x of the built-in sequences whose every
-# order calls the same transcendental: one call per entry, the same bits as
-# ``deriv_seq(j, x)`` for each j.  Other primitives are called per order.
-_ALL_ORDERS = {
-    _exp_seq: lambda k, x: [math.exp(x)] * (k + 1),
-    _sin_seq: _sin_orders,
-    _cos_seq: lambda k, x: _sin_orders(k + 1, x)[1:],
-    _tanh_seq: lambda k, x: _tanh_rows(_tanh_table(k), x),
+# The built-in sequences whose every order calls the same transcendental, each
+# as (order-0 function, all-orders function): ``value(x)`` has the bits of
+# ``deriv_seq(0, x)`` and ``orders(k, x)`` those of ``deriv_seq(j, x)`` for
+# j = 0..k, with one call per entry.  Other primitives are called per order.
+_KERNELS = {
+    _exp_seq: (math.exp, lambda k, x: [math.exp(x)] * (k + 1)),
+    _sin_seq: (math.sin, _sin_orders),
+    _cos_seq: (math.cos, lambda k, x: _sin_orders(k + 1, x)[1:]),
+    # Horner's last step turns -0 into +0
+    _tanh_seq: (lambda x: math.tanh(x) + 0.0, lambda k, x: _tanh_rows(_tanh_table(k), x)),
 }
-
-# The same sequences at order 0: ``deriv_seq(0, x)``'s bits in one call.
-_VALUES = {
-    _exp_seq: math.exp,
-    _sin_seq: math.sin,
-    _cos_seq: math.cos,
-    _tanh_seq: lambda x: math.tanh(x) + 0.0,  # Horner's last step turns -0 into +0
-}
-
-
-def _prim_derivatives(prim: Primitive, v: np.ndarray, k: int, path: str) -> np.ndarray:
-    """``out[r, i]`` is the r-th derivative of ``prim`` at ``v[i]``, r = 0..k."""
-    rows = _all_orders(prim, v.tolist(), k)
-    if rows is None:
-        rows = _per_order(prim, v, k, path)
-    return np.array(rows, dtype=np.float64).T
-
-
-def _all_orders(prim: Primitive, xs: list, k: int) -> list | None:
-    """``out[i][r]``, the r-th derivative of ``prim`` at ``xs[i]``, r = 0..k, as floats.
-
-    None where ``prim`` has no all-orders kernel or a call fails: the caller
-    then runs ``_per_order``, which raises the first failing call's error.
-    """
-    orders = _ALL_ORDERS.get(prim.deriv_seq)
-    if orders is not None:
-        try:
-            return [orders(k, x) for x in xs]
-        except (ArithmeticError, ValueError):
-            pass
-    return None
-
-
-def _per_order(prim: Primitive, v, k: int, path: str) -> list:
-    """``_all_orders`` by one ``_apply_prim`` call per order and entry, order by order."""
-    return list(zip(*[[_apply_prim(prim, r, x, path) for x in v] for r in range(k + 1)]))
-
-
-# Truncated Horner and series-scaled towers divide by float factorials r!,
-# and 171! is above the largest float.
-_MAX_FACTORIAL_ORDER = 170
-
-
-def _check_factorial_order(k: int, path: str, node: str) -> None:
-    if k > _MAX_FACTORIAL_ORDER:
-        raise DomainEvalError(
-            f"{path or '/'}: {node}: order {k} is above {_MAX_FACTORIAL_ORDER}, "
-            "the largest whose factorial is a float"
-        )
 
 
 # --- the DAG walk -------------------------------------------------------------
@@ -669,7 +625,8 @@ def _ask(node, point, order):
 # A run is a chain of links ``Compose(Elementwise, inner)`` down to its base,
 # the first node below that is not a link.  The stages act on each coordinate
 # as one univariate map, so a run's value and tower are each one local rule
-# over its base.
+# over its base.  ``_stage_pass`` runs the stages of a run, or of a lone
+# elementwise node, over floats: their values, or their derivative rows.
 
 def _in_run(node: Program) -> bool:
     """Whether ``node`` is an elementwise stage over an inner node: one link of a run."""
@@ -696,17 +653,60 @@ def _run_stages(p: Program) -> tuple[list, Program]:
 _INNER = "/compose.inner"
 
 
-def _stage_path(path: str, depth: int) -> str:
+def _stage_paths(path: str) -> Callable[[int], str]:
     """Path of the stage ``depth`` links below the run link at ``path``; built for errors."""
-    return path + _INNER * depth + "/compose.outer"
+    return lambda depth: path + _INNER * depth + "/compose.outer"
+
+
+def _stage_pass(fns: list, xs: list, k, stage_path: Callable[[int], str]) -> list:
+    """The stages ``fns``, top first, run from the base up over the floats ``xs``.
+
+    With ``k`` None each stage maps every coordinate to its value and the
+    result is the top stage's values; otherwise ``out[j][i][r]`` is the r-th
+    derivative of stage j = 0 the lowest at its input in coordinate i, r =
+    0..k.  A built-in sequence runs its kernel; any other primitive, or a
+    kernel call that fails, goes through ``_apply_prim`` order by order, so
+    the first failing call raises its error with the path
+    ``stage_path(depth)`` of the stage ``depth`` links below the top.
+    """
+    rows = []
+    for depth in range(len(fns) - 1, -1, -1):
+        fn = fns[depth]
+        out = None
+        kernel = _KERNELS.get(fn.deriv_seq)
+        if kernel is not None:
+            value, orders = kernel
+            try:
+                out = [value(x) for x in xs] if k is None else [orders(k, x) for x in xs]
+            except (ArithmeticError, ValueError):
+                pass
+        if out is None:
+            at = stage_path(depth)
+            if k is None:
+                out = [_apply_prim(fn, 0, x, at) for x in xs]
+            else:
+                out = list(zip(*[[_apply_prim(fn, r, x, at) for x in xs] for r in range(k + 1)]))
+        if k is None:
+            xs = out
+        else:
+            rows.append(out)
+            xs = [f[0] for f in out]
+    return xs if k is None else rows
+
+
+def _prim_derivatives(prim: Primitive, v: np.ndarray, k: int, path: str) -> np.ndarray:
+    """``out[r, i]`` is the r-th derivative of ``prim`` at ``v[i]``, r = 0..k."""
+    return np.array(_stage_pass([prim], v.tolist(), k, lambda _: path)[0], dtype=np.float64).T
 
 
 # --- values -------------------------------------------------------------------
 #
 # The identity and sum rules, and composition's stage-by-stage rule, pass
 # ``k`` on to their children, so they serve jet requests as well as value
-# requests.  A link of a run of elementwise stages (see ``_run_stages``) asks
-# its base for a value once and applies every stage to it in one loop.
+# requests, and the sum rule serves tower requests too.  A link of a run of
+# elementwise stages (see ``_run_stages``) asks its base for a value once and
+# applies every stage to it in one ``_stage_pass``, as a lone elementwise
+# node applies its own.
 
 def _identity_value(p, v, k, path):
     return v.copy()
@@ -725,7 +725,7 @@ def _layer_value(p, v, k, path):
 
 
 def _elementwise_value(p, v, k, path):
-    return np.array([_apply_prim(p.fn, 0, x, path) for x in v], dtype=np.float64)
+    return np.array(_stage_pass([p.fn], v.tolist(), None, lambda _: path), dtype=np.float64)
 
 
 def _sum_value(p, v, k, path):
@@ -763,25 +763,11 @@ def _run_value(p, v, path):
     """Value of the run that ends at ``p``: its stages over its base's value, in floats.
 
     The stages run from the base up, each over every coordinate, as the
-    stage-by-stage walk runs them.  A built-in sequence calls its order-0
-    function; any other primitive, or a call that fails, goes through
-    ``_apply_prim`` with the stage's path, so values and errors keep their
-    bits and text.
+    stage-by-stage walk runs them, in one ``_stage_pass``.
     """
     fns, base = _run_stages(p)
     xs = (yield base, v, None, path + _INNER * len(fns)).tolist()
-    for depth in range(len(fns) - 1, -1, -1):
-        fn = fns[depth]
-        value = _VALUES.get(fn.deriv_seq)
-        if value is not None:
-            try:
-                xs = [value(x) for x in xs]
-                continue
-            except (ArithmeticError, ValueError):
-                pass
-        at = _stage_path(path, depth)
-        xs = [_apply_prim(fn, 0, x, at) for x in xs]
-    return np.array(xs, dtype=np.float64)
+    return np.array(_stage_pass(fns, xs, None, _stage_paths(path)), dtype=np.float64)
 
 
 def _extracted_value(p, v, k, path):
@@ -856,15 +842,7 @@ def _elementwise_tower(p, v, k, path):
     return out
 
 
-def _sum_tower(p, v, k, path):
-    out = yield p.children[0], v, k, path + "/sum[0]"
-    for i, child in enumerate(p.children[1:], start=1):
-        out = out + (yield child, v, k, f"{path}/sum[{i}]")
-    return out
-
-
 def _product_tower(p, v, k, path):
-    _check_factorial_order(k, path, "prod")
     towers = []
     for i, child in enumerate(p.children):
         towers.append((yield child, v, k, f"{path}/prod[{i}]"))
@@ -914,17 +892,7 @@ def _compose_run(p, v, k, path):
     else:
         base = yield node, v, k, below
         degree, low, xs = _tower_degree(node, k), None, base[:, 0].tolist()
-    # one check per run, naming its lowest stage; no stage path unless one fails
-    if k > _MAX_FACTORIAL_ORDER:
-        _check_factorial_order(k, _stage_path(path, len(fns) - 1), f"elem({fns[-1].name})")
-    rows = []
-    for depth in range(len(fns) - 1, -1, -1):
-        fn = fns[depth]
-        row = _all_orders(fn, xs, k)
-        if row is None:
-            row = _per_order(fn, xs, k, _stage_path(path, depth))
-        rows.append(row)
-        xs = [f[0] for f in row]
+    rows = _stage_pass(fns, xs, k, _stage_paths(path))
     flat = chain.from_iterable(chain.from_iterable(rows))
     coeffs = np.fromiter(flat, np.float64, len(rows) * len(xs) * (k + 1))
     coeffs = coeffs.reshape(len(rows), len(xs), k + 1) / _column_factorials(1, k)
@@ -1056,9 +1024,18 @@ def _layer_jet(p, x, k, path):
     return out
 
 
+# An elementwise jet divides by float factorials r!, and 171! is above the
+# largest float.  Towers stop at order 63 before the walk.
+_MAX_FACTORIAL_ORDER = 170
+
+
 def _elementwise_jet(p, x, k, path):
     n, K = k
-    _check_factorial_order(K, path, f"elem({p.fn.name})")
+    if K > _MAX_FACTORIAL_ORDER:
+        raise DomainEvalError(
+            f"{path or '/'}: elem({p.fn.name}): order {K} is above {_MAX_FACTORIAL_ORDER}, "
+            "the largest whose factorial is a float"
+        )
     return _horner(_prim_derivatives(p.fn, x[:, 0], K, path), x, n, K, series=True)
 
 
@@ -1089,7 +1066,7 @@ _RULES = {
     Affine: (_affine_value, _affine_tower, _affine_jet),
     ContractionLayer: (_layer_value, _layer_tower, _layer_jet),
     Elementwise: (_elementwise_value, _elementwise_tower, _elementwise_jet),
-    Sum: (_sum_value, _sum_tower, _sum_value),
+    Sum: (_sum_value, _sum_value, _sum_value),
     Product: (_product_value, _product_tower, _product_jet),
     Compose: (_compose_value, _compose_tower, _compose_stages, _compose_run),
     ExtractedDerivative: (_extracted_value, _extracted_tower, _extracted_jet),

@@ -3,10 +3,11 @@
 Grammar (see docs/grammar.ebnf for the full EBNF):
 
     expr    = "id"
-            | "(" "const"   vector ")"
+            | "(" "id"      dim ")"
+            | "(" "const"   vector [dim] ")"
             | "(" "affine"  matrix vector ")"
             | "(" "layer"   json-object ")"
-            | "(" "elem"    name ")"
+            | "(" "elem"    name [dim] ")"
             | "(" "sum"     expr expr+ ")"
             | "(" "prod"    expr expr+ ")"
             | "(" "compose" expr expr ")"
@@ -14,8 +15,11 @@ Grammar (see docs/grammar.ebnf for the full EBNF):
     vector  = "[" number ("," number)* "]"
     matrix  = "[" vector ("," vector)* "]"
 
-``id`` and ``(elem ...)`` have no intrinsic dimension; the parser infers it
-from context (an adjacent affine/const/layer sibling) and defaults to 1.
+``dim`` is a positive integer: the input dimension of an identity, constant
+or elementwise node.  Where the text leaves it out, the parser infers it from
+context (an adjacent affine/const/layer sibling) and defaults to 1; an
+explicit one that its context contradicts is an error at its form.  The
+printer always writes it, so printed text parses back to an equal program.
 The dimensions each expression fixes by itself are computed once, as it is
 parsed.  The layer payload, the multi-tensor JSON object embedded verbatim,
 is decoded there too.  Parse errors carry line/column and what was expected;
@@ -117,7 +121,7 @@ class _Cursor:
         try:
             value = float(token)
         except ValueError:
-            self.fail(f"expected a number, found {token!r}", start)
+            self.fail(f"expected a number, found {repr(token) if token else self.found()}", start)
         if not math.isfinite(value):
             self.fail(f"expected a finite number, found {token!r}", start)
         return value
@@ -144,8 +148,9 @@ class _Cursor:
 
 # Raw AST: (head, dim_in, dim_out, start, *operands).  dim_in and dim_out are
 # the dimensions the expression fixes without context, None where it fixes
-# none; start is the offset of its "(" or "id", turned into a line and column
-# only for an error.
+# none (an explicit dim fixes an id's, a const's or an elem's dim_in); start
+# is the offset of its "(" or "id", turned into a line and column only for an
+# error.
 #   ("id", ..) | ("const", .., vec) | ("affine", .., mat, vec)
 #   | ("layer", .., MultiTensor) | ("elem", .., Primitive)
 #   | ("sum", .., [raw..]) | ("prod", .., [raw..])
@@ -190,11 +195,11 @@ def _product_form(p: Product):
 
 # A node's text before and after its children, which are each preceded by a space.
 _FORMS = {
-    Identity: lambda p: ("id", ""),
-    Constant: lambda p: (f"(const {_fmt_vector(p.value)}", ")"),
+    Identity: lambda p: (f"(id {p.dim}", ")"),
+    Constant: lambda p: (f"(const {_fmt_vector(p.value)} {p.dim_in}", ")"),
     Affine: lambda p: (f"(affine {_fmt_matrix(p.matrix)} {_fmt_vector(p.offset)}", ")"),
     ContractionLayer: lambda p: (f"(layer {multitensor.to_json(p.weights)}", ")"),
-    Elementwise: lambda p: (f"(elem {p.fn.name}", ")"),
+    Elementwise: lambda p: (f"(elem {p.fn.name} {p.dim}", ")"),
     Sum: lambda p: ("(sum", ")"),
     Product: _product_form,
     Compose: lambda p: ("(compose", ")"),
@@ -223,9 +228,12 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
     cur.expect("(")
     head_pos = cur.pos
     head = cur.word()
-    if head == "const":
+    if head == "id":
+        dim = _positive_integer(cur, "dimension")
+        out = ("id", dim, dim, start)
+    elif head == "const":
         vec = _parse_vector(cur)
-        out = ("const", None, len(vec), start, vec)
+        out = ("const", _optional_dim(cur), len(vec), start, vec)
     elif head == "affine":
         mat = _parse_list(cur, _parse_vector)
         vec = _parse_vector(cur)
@@ -248,7 +256,8 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
             prim = get_primitive(name)
         except KeyError:
             cur.fail(f"unknown primitive {name!r}", name_pos)
-        out = ("elem", None, None, start, prim)
+        dim = _optional_dim(cur)
+        out = ("elem", dim, dim, start, prim)
     elif head in ("sum", "prod", "compose"):
         operands = []
         while True:
@@ -271,16 +280,13 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
             out = (head, dim_in, dim_out, start, operands)
     elif head == "deriv":
         inner = _parse_expr(cur, depth + 1)
-        k = cur.number()
-        if k != int(k) or k < 1:
-            cur.fail(f"derivative order must be a positive integer, got {k!r}")
-        k = int(k)
+        k = _positive_integer(cur, "derivative order")
         dim_in, dim_out = inner[1], inner[2]
         dim_out = None if dim_in is None or dim_out is None else dim_out * dim_in**k
         out = ("deriv", dim_in, dim_out, start, inner, k)
     else:
         cur.fail(
-            f"unknown form {head!r}; expected one of const, affine, layer, "
+            f"unknown form {head!r}; expected one of id, const, affine, layer, "
             "elem, sum, prod, compose, deriv",
             head_pos,
         )
@@ -305,24 +311,51 @@ def _parse_vector(cur: _Cursor) -> list[float]:
     return _parse_list(cur, _Cursor.number)
 
 
+def _positive_integer(cur: _Cursor, what: str) -> int:
+    x = cur.number()
+    if x != int(x) or x < 1:
+        cur.fail(f"{what} must be a positive integer, got {x!r}")
+    return int(x)
+
+
+def _optional_dim(cur: _Cursor) -> int | None:
+    """A form's trailing dimension, None where the form ends without one."""
+    cur.skip_ws()
+    return None if cur.peek() == ")" else _positive_integer(cur, "dimension")
+
+
+def _own_dim(raw, in_hint: int | None, out_hint: int | None = None) -> int:
+    """The dim of an id, const or elem: its explicit one, which each hint of its
+    context must fit, else the first hint, else 1."""
+    own = raw[1]
+    if own is None:
+        return in_hint or out_hint or 1
+    for hint in (in_hint, out_hint):
+        if hint and hint != own:
+            raise multitensor.ShapeMismatchError(
+                f"{raw[0]} has dim {own}, its context needs dim {hint}"
+            )
+    return own
+
+
 def _resolve(cur: _Cursor, raw, in_hint: int | None, out_hint: int | None) -> Program:
     head = raw[0]
     try:
         if head == "id":
-            dim = in_hint or out_hint or 1
+            dim = _own_dim(raw, in_hint, out_hint)
             if in_hint and out_hint and in_hint != out_hint:
                 raise multitensor.ShapeMismatchError(
                     f"id cannot map dim {in_hint} to dim {out_hint}"
                 )
             return Identity(dim)
         if head == "const":
-            return Constant(raw[4], input_dim=in_hint or 1)
+            return Constant(raw[4], input_dim=_own_dim(raw, in_hint))
         if head == "affine":
             return Affine(raw[4], raw[5])
         if head == "layer":
             return ContractionLayer(raw[4])
         if head == "elem":
-            return Elementwise(raw[4], dim=in_hint or out_hint or 1)
+            return Elementwise(raw[4], dim=_own_dim(raw, in_hint, out_hint))
         if head in ("sum", "prod"):
             dim_in, dim_out = in_hint, out_hint
             for child in raw[4]:

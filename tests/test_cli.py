@@ -10,8 +10,14 @@ import jsonschema
 import numpy as np
 import pytest
 
+from tensorjet import (
+    find_fixed_point,
+    fractional_iterate,
+    iterating_velocity,
+    schroeder,
+)
 from tensorjet.cli import main
-from tensorjet.sexpr import MAX_NESTING
+from tensorjet.sexpr import MAX_NESTING, parse
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "multitensor.schema.json").read_text()
@@ -162,6 +168,23 @@ class TestIterate:
         assert float(lines[1].split(": ")[1]) == pytest.approx(
             math.log(0.5) * 0.2, abs=1e-12
         )
+
+    def test_point_outside_the_series_radius_is_one_warning_line(self, capsys, tmp_path):
+        """The library warns once per call; the CLI prints each distinct warning once."""
+        f = tmp_path / "map.sexp"
+        f.write_text('(layer {"dim_out":1,"dim_in":1,"order":2,'
+                     '"components":[[0.0],[[0.5]],[[[0.25]]]]})')
+        code, out, err = run_cli(capsys, "iterate", "--program", str(f), "--seed", "0.3",
+                                 "--x", "0.5", "--at", "1.0", "--order", "6")
+        program = parse(f.read_text())
+        data = schroeder(program, find_fixed_point(program, 0.3), 6)
+        with pytest.warns(RuntimeWarning, match="exceeds the estimated series radius") as seen:
+            value = fractional_iterate(data, 0.5, 1.0)
+            velocity = iterating_velocity(data, 1.0)
+        assert len(seen) == 2 and str(seen[0].message) == str(seen[1].message)
+        assert code == 0
+        assert out == f"iterate: {value:.17g}\nvelocity: {velocity:.17g}\n"
+        assert err == f"tensorjet: warning: {seen[0].message}\n"
 
     def test_no_fixed_point_is_a_numeric_failure(self, capsys, tmp_path):
         f = tmp_path / "shift.sexp"

@@ -267,7 +267,13 @@ def _value_prims():
 
 
 def _reference(node, v, path=""):
-    """Value of ``node`` with every link of a run evaluated as its own stage, from the base up."""
+    """Value of ``node`` with every link of a run evaluated as its own stage, from the base up.
+
+    A lone elementwise node is one stage over the input, named by ``path``.
+    """
+    if type(node) is Elementwise:
+        x = np.asarray(v, dtype=np.float64)
+        return np.array([_apply_prim(node.fn, 0, xi, path) for xi in x], dtype=np.float64)
     fns = []
     while type(node) is Compose and type(node.outer) is Elementwise:
         fns.append(node.outer.fn)
@@ -290,7 +296,9 @@ def _value_outcome(run):
 def test_run_values_match_the_stage_by_stage_reference():
     """Random runs over every primitive, with links shared at random places, at
     points that hold signed zeros, subnormals, huge values, infinities and NaN:
-    the value pass keeps each stage's bits and each error's text and path."""
+    the value pass keeps each stage's bits and each error's text and path.  So
+    does a lone elementwise node, as the root and as a sum's child, which
+    takes the same pass."""
     rng = np.random.default_rng(17)
     prims = _value_prims()
     seen = set()
@@ -313,6 +321,12 @@ def test_run_values_match_the_stage_by_stage_reference():
             want = _value_outcome(lambda: _reference(p, v, "/sum[0]")
                                   + _reference(extra[-1], v, "/sum[1]"))
             assert got == want, (case, v)
+        lone = Elementwise(prims[case % len(prims)], d)
+        got = _value_outcome(lambda: evaluate(lone, v))
+        assert got == _value_outcome(lambda: _reference(lone, v)), (case, v)
+        got = _value_outcome(lambda: evaluate(Sum([p, lone]), v))
+        want = _value_outcome(lambda: _reference(p, v, "/sum[0]") + _reference(lone, v, "/sum[1]"))
+        assert got == want, (case, v)
     assert seen == {bytes, str}
 
 

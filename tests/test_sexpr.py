@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorjet import (
     Affine,
@@ -18,6 +20,8 @@ from tensorjet import (
 )
 from tensorjet.sexpr import MAX_NESTING, SexprError, parse, print_program
 
+from _gen import random_program
+
 
 ROUND_TRIP_CASES = [
     "id",
@@ -30,6 +34,9 @@ ROUND_TRIP_CASES = [
     "(compose (elem sin) (affine [[2.0]] [0.0]))",
     "(deriv (elem sin) 2)",
     "(compose (elem exp) (compose (elem sin) id))",
+    "(id 2)",
+    "(compose (elem sin 2) (const [0.5,1.0] 3))",
+    "(prod (elem cos 2) (affine [[1.0,0.0],[0.0,1.0]] [0.0,1.0]))",
 ]
 
 
@@ -91,6 +98,16 @@ class TestRoundTrip:
         assert len(decoded) == 1
         assert evaluate(p, [0.0]).shape == (1,)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(0, 3))
+    def test_printed_random_programs_parse_back_equal(self, seed, dim_in, dim_out, depth):
+        """Printed text keeps every dimension, also those that no sibling fixes."""
+        p = random_program(np.random.default_rng(seed), dim_in, dim_out, depth)
+        printed = print_program(p)
+        again = parse(printed)
+        assert structurally_equal(p, again)
+        assert print_program(again) == printed
+
     def test_bilinear_product_cannot_be_printed(self):
         a, b = Affine([[1.0]], [0.0]), Affine([[2.0]], [1.0])
         with pytest.raises(ValueError, match="bilinear"):
@@ -125,6 +142,42 @@ class TestDimensionInference:
     def test_identity_under_inner_composition(self):
         p = parse("(compose (affine [[1.0,1.0]] [0.0]) id)")
         assert p.dim_in == 2 and p.dim_out == 1
+
+    @pytest.mark.parametrize("text, dim_in, dim_out", [
+        ("(id 3)", 3, 3),
+        ("(elem sin 2)", 2, 2),
+        ("(const [1.0] 4)", 4, 1),
+        ("(sum (id 2) id)", 2, 2),
+        ("(prod (elem sin 2) (elem cos))", 2, 2),
+        ("(compose (elem tanh) (const [1.0,2.0] 3.0))", 3, 2),
+    ])
+    def test_explicit_dimension_is_used_and_spreads_to_siblings(self, text, dim_in, dim_out):
+        p = parse(text)
+        assert (p.dim_in, p.dim_out) == (dim_in, dim_out)
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("(compose (elem sin 2) (affine [[1.0]] [0.0]))", 10, "elem has dim 2, its context needs dim 1"),
+        ("(sum (affine [[1.0,2.0]] [0.0]) (id 3))", 33, "id has dim 3, its context needs dim 2"),
+        ("(compose (elem exp) (sum (affine [[1.0]] [0.0]) (const [1.0] 2)))", 49,
+         "const has dim 2, its context needs dim 1"),
+    ], ids=["elem", "id", "const"])
+    def test_explicit_dimension_against_its_context_is_an_error_at_its_form(
+            self, text, column, message):
+        with pytest.raises(SexprError, match=f"dimension mismatch: {message}") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("(id)", 4, "expected a number, found ')'"),
+        ("(id 0)", 6, "dimension must be a positive integer, got 0.0"),
+        ("(elem sin 1.5)", 14, "dimension must be a positive integer, got 1.5"),
+        ("(const [1.0] -2)", 16, "dimension must be a positive integer, got -2.0"),
+        ("(elem sin 2 2)", 13, "expected ')', found '2'"),
+    ])
+    def test_bad_dimension_is_an_error_at_it(self, text, column, message):
+        with pytest.raises(SexprError) as err:
+            parse(text)
+        assert str(err.value) == f"1:{column}: {message}"
 
 
 class TestErrors:
