@@ -9,11 +9,13 @@ program at the shifted argument ``v0 + h*v``.
 tower of their composition by polynomial substitution in the truncated
 polynomial ring, one packed entry per multi-index, so the result is exactly
 symmetric.  The DAG walk calls it for a ``Compose`` node whose outer stage is
-not elementwise, and ``reverse_chain`` folds it over a pipeline from the last
-stage.  ``forward_chain`` builds no stage tower: it pushes one packed series
-in dim_in variables, the pipeline's running truncated Taylor polynomial,
-through the stages by the walk's jet rules and expands it once.  Both
-directions produce the tower of the full composite.
+not elementwise.  ``reverse_chain`` folds the stages' packed towers from the
+last stage by the same substitution, with no dense tower in between;
+``compose_towers`` is its last junction, with the first stage's tower, and
+yields the dense result.  ``forward_chain`` builds no stage tower: it pushes
+one packed series in dim_in variables, the pipeline's running truncated
+Taylor polynomial, through the stages by the walk's jet rules and expands it
+once.  Both directions produce the tower of the full composite.
 
 ``order_reduce`` reinterprets a tower one order down, turning the derivative
 itself into a program value: the first tensor slot of each component is
@@ -129,17 +131,27 @@ def compose_towers(outer: DerivativeTower, inner: DerivativeTower) -> Derivative
         raise ValueError(
             f"tower orders differ: outer {outer.order}, inner {inner.order}"
         )
-    mid = inner.value
+    k, d_in = inner.order, inner.tower.dim_in
+    packed = _compose_packed(_pack(outer.tower.components, outer.tower.dim_in), outer.at,
+                             _pack(inner.tower.components, d_in), d_in, k)
+    return DerivativeTower(at=inner.at, tower=_unpack(packed, d_in, k))
+
+
+def _compose_packed(outer_packed: np.ndarray, outer_at: np.ndarray, inner_packed: np.ndarray,
+                    d_in: int, k: int) -> np.ndarray:
+    """Packed order-k tower of ``outer . inner`` from the factors' packed towers.
+
+    The outer tower was expanded at ``outer_at``, which must be the inner's
+    value to a relative ``_BASE_TOL``; the inner has ``d_in`` inputs.
+    """
+    mid = inner_packed[:, 0]
     scale_ref = max(1.0, float(np.abs(mid).max()))
-    if outer.at.shape != mid.shape or np.abs(outer.at - mid).max() > _BASE_TOL * scale_ref:
+    if outer_at.shape != mid.shape or np.abs(outer_at - mid).max() > _BASE_TOL * scale_ref:
         raise ValueError(
             "base point mismatch: outer tower expanded at "
-            f"{outer.at}, inner evaluates to {mid}"
+            f"{outer_at}, inner evaluates to {mid}"
         )
-    k, d_in = inner.order, inner.tower.dim_in
-    packed = _substitute(_pack(outer.tower.components, outer.tower.dim_in),
-                         _pack(inner.tower.components, d_in), d_in, k)
-    return DerivativeTower(at=inner.at, tower=_unpack(packed, d_in, k))
+    return _substitute(outer_packed, inner_packed, d_in, k)
 
 
 def forward_chain(programs, v0, order: int) -> DerivativeTower:
@@ -171,7 +183,10 @@ def reverse_chain(programs, v0, order: int) -> DerivativeTower:
     """Tower of the composite pipeline, accumulated last-to-first.
 
     Runs one forward value pass to collect intermediate points, then folds
-    suffix towers backwards.  Agrees with :func:`forward_chain`.
+    the stages' packed towers backwards, each substituted into the running
+    suffix tower with its base point checked.  The last junction, with the
+    first stage's tower at ``v0``, is :func:`compose_towers`, which returns
+    the dense tower.  Agrees with :func:`forward_chain`.
     """
     from .program import evaluate
 
@@ -180,11 +195,15 @@ def reverse_chain(programs, v0, order: int) -> DerivativeTower:
     points = [np.asarray(v0, dtype=np.float64)]
     for stage in programs[:-1]:
         points.append(evaluate(stage, points[-1]))
-    acc = derivative_tower(programs[-1], points[-1], order)
-    for stage, at in zip(reversed(programs[:-1]), reversed(points[:-1])):
-        inner = derivative_tower(stage, at, order)
-        acc = compose_towers(acc, inner)
-    return acc
+    if len(programs) == 1:
+        return derivative_tower(programs[0], v0, order)
+    last = programs[-1]
+    acc = _walk(last, _tower_input(last, points[-1], order), order)
+    for stage, at, outer_at in zip(programs[-2:0:-1], points[-2:0:-1], points[:1:-1]):
+        inner = _walk(stage, _tower_input(stage, at, order), order)
+        acc = _compose_packed(acc, outer_at, inner, stage.dim_in, order)
+    outer = DerivativeTower(at=points[1], tower=_unpack(acc, programs[1].dim_in, order))
+    return compose_towers(outer, derivative_tower(programs[0], v0, order))
 
 
 def _check_chain(programs):

@@ -285,6 +285,7 @@ class ExtractedDerivative(Program):
     def __init__(self, inner: Program, k: int):
         if k < 1:
             raise ValueError("derivative order k must be >= 1")
+        _check_derivative_order(k)
         self.inner = inner
         self.k = k
         super().__init__(inner.dim_in, inner.dim_out * inner.dim_in**k, (inner,))
@@ -332,6 +333,15 @@ def derivative_tower(program: Program, v, order: int) -> DerivativeTower:
 
 # Component j of a dense tower has j + 1 axes, and numpy arrays have at most 64.
 _MAX_DENSE_ORDER = 63
+
+
+def _check_derivative_order(k: int) -> None:
+    """An order-k derivative's value is its inner's dense tower at order k: k <= 63."""
+    if k > _MAX_DENSE_ORDER:
+        raise ValueError(
+            f"derivative order {k} is above {_MAX_DENSE_ORDER}, the largest of a dense tower "
+            "(its value needs its inner's dense tower to that order)"
+        )
 
 
 def _tower_input(program: Program, v, order: int) -> np.ndarray:
@@ -439,27 +449,32 @@ def _tanh_poly(j: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tanh_row(j: int) -> tuple[float, ...]:
-    # T_j's coefficients as floats, highest first, for Horner in t.  Adding
+def _tanh_row(j: int) -> tuple[tuple[float, ...], bool]:
+    # T_j holds only the powers of t of parity j + 1.  Those coefficients as
+    # floats, highest first, and whether T_j is odd (no constant term).  Adding
     # float(c) rounds as adding the integer c does, and raises the same
     # OverflowError where c is above the largest float (from j = 164).
-    return tuple(float(c) for c in reversed(_tanh_poly(j)))
+    return tuple(float(c) for c in reversed(_tanh_poly(j)[(j + 1) % 2::2])), j % 2 == 0
 
 
 @lru_cache(maxsize=None)
-def _tanh_table(k: int) -> tuple[tuple[float, ...], ...]:
+def _tanh_table(k: int) -> tuple[tuple[tuple[float, ...], bool], ...]:
     return tuple(_tanh_row(j) for j in range(k + 1))
 
 
 def _tanh_rows(rows, x):
-    # Horner in t = tanh(x) over each row of float coefficients, in one call
+    # Horner in t = tanh(x) over each row of float coefficients, in one call.
+    # A step over a skipped zero coefficient is (acc * t) * t, which has the
+    # bits of (acc * t + 0.0) * t wherever a nonzero coefficient is added next.
+    # An odd T_j ends with the step to its zero constant term, which turns -0
+    # into +0.
     t = math.tanh(x)
     out = []
-    for row in rows:
-        acc = 0.0
-        for c in row:
-            acc = acc * t + c
-        out.append(acc)
+    for row, odd in rows:
+        acc = row[0]
+        for c in row[1:]:
+            acc = acc * t * t + c
+        out.append(acc * t + 0.0 if odd else acc)
     return out
 
 

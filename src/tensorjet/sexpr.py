@@ -20,6 +20,7 @@ or elementwise node.  Where the text leaves it out, the parser infers it from
 context (an adjacent affine/const/layer sibling) and defaults to 1; an
 explicit one that its context contradicts is an error at its form.  The
 printer always writes it, so printed text parses back to an equal program.
+A ``deriv`` order is at most 63, the largest order of a dense tower.
 The dimensions each expression fixes by itself are computed once, as it is
 parsed.  The layer payload, the multi-tensor JSON object embedded verbatim,
 is decoded there too.  Parse errors carry line/column and what was expected;
@@ -47,6 +48,7 @@ from .program import (
     Program,
     Product,
     Sum,
+    _check_derivative_order,
     get_primitive,
 )
 
@@ -280,7 +282,13 @@ def _parse_expr(cur: _Cursor, depth: int = 1):
             out = (head, dim_in, dim_out, start, operands)
     elif head == "deriv":
         inner = _parse_expr(cur, depth + 1)
+        cur.skip_ws()
+        k_pos = cur.pos
         k = _positive_integer(cur, "derivative order")
+        try:
+            _check_derivative_order(k)  # before the power below
+        except ValueError as exc:
+            cur.fail(str(exc), k_pos)
         dim_in, dim_out = inner[1], inner[2]
         dim_out = None if dim_in is None or dim_out is None else dim_out * dim_in**k
         out = ("deriv", dim_in, dim_out, start, inner, k)

@@ -11,6 +11,7 @@ from tensorjet import (
     ContractionLayer,
     DomainEvalError,
     Elementwise,
+    ExtractedDerivative,
     Identity,
     MultiTensor,
     Product,
@@ -42,6 +43,7 @@ from tensorjet.multitensor import (
     symmetrize,
 )
 import tensorjet.operators as operators_module
+import tensorjet.program as program_module
 from tensorjet.operators import reduction_commutes
 from tensorjet.program import DerivativeTower, _horner, _prim_derivatives, _tower_degree
 
@@ -628,6 +630,91 @@ class TestChains:
                 run()
             assert str(err.value) == message
         assert forward_chain([sin, sin], [0.1], 63).tower.components[63].ndim == 64
+
+
+def _reverse_fold(programs, v0, order):
+    """The dense fold: ``compose_towers`` over each stage's dense tower, from the last stage."""
+    points = [np.asarray(v0, dtype=np.float64)]
+    for stage in programs[:-1]:
+        points.append(program_module.evaluate(stage, points[-1]))
+    acc = derivative_tower(programs[-1], points[-1], order)
+    for stage, at in zip(reversed(programs[:-1]), reversed(points[:-1])):
+        acc = compose_towers(acc, derivative_tower(stage, at, order))
+    return acc
+
+
+def _special_stage(rng, kind, d):
+    """A stage from d inputs of a kind that random chains rarely build."""
+    if kind == "layer":
+        return ContractionLayer(random_multitensor(rng, 2, d, 2))
+    if kind == "product":
+        return Product([random_program(rng, d, 2, 1), random_program(rng, d, 2, 1)])
+    return ExtractedDerivative(random_program(rng, d, 1, 2), 1)
+
+
+class TestReverseChainFold:
+    """The packed fold keeps every bit, error and error order of the dense fold."""
+
+    def test_bitwise_equal_to_the_dense_fold(self):
+        rng = np.random.default_rng(61)
+        cases = 0
+        for d in (1, 2, 3):
+            for order in range(5):
+                # the special stage alone, first, last and in the middle
+                for length, at in ((1, 0), (2, 0), (2, 1), (4, 2)):
+                    for kind in ("layer", "product", "deriv"):
+                        special = _special_stage(rng, kind, d)
+                        chain = (random_chain(rng, at, d, d, depth=2) + [special]
+                                 + random_chain(rng, length - at - 1, special.dim_out, 2, 2))
+                        v = rng.uniform(-0.5, 0.5, size=d)
+                        got, want = reverse_chain(chain, v, order), _reverse_fold(chain, v, order)
+                        assert np.array_equal(got.at, want.at)
+                        assert _bitwise_equal(got.tower, want.tower), (d, order, length, at, kind)
+                        cases += 1
+        assert cases == 180
+
+    def test_every_junction_checks_its_base_point(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        chain = random_chain(rng, 4, 2, 2, depth=2)
+        v = rng.uniform(-0.5, 0.5, size=2)
+        evaluate_exactly = program_module.evaluate
+        for moved in chain[:-1]:
+            def evaluate_off(p, x, moved=moved):
+                return evaluate_exactly(p, x) + (1e-6 if p is moved else 0.0)
+
+            monkeypatch.setattr(program_module, "evaluate", evaluate_off)
+            errors = []
+            for run in (reverse_chain, _reverse_fold):
+                with pytest.raises(ValueError) as err:
+                    run(chain, v, 2)
+                errors.append(str(err.value))
+            assert errors[0] == errors[1] and errors[0].startswith("base point mismatch")
+
+    def test_errors_and_their_order(self):
+        sin = Elementwise(get_primitive("sin"))
+        a = Affine([[0.5, 0.2]], [0.1])
+        shape = (ShapeMismatchError, "input must have shape (2,), got (1,)")
+        negative = (ValueError, "order must be >= 0")
+        dense = (ValueError, "order 64 is above 63, the largest of a dense tower "
+                 "(component j has j + 1 axes, and numpy arrays have at most 64)")
+        cases = [
+            ([a, sin], [0.1], 2, shape),
+            ([a], [0.1], 2, shape),
+            ([a, sin], [0.1, 0.2], -1, negative),
+            ([sin], [0.1], -1, negative),
+            ([a, sin], [0.1, 0.2], 64, dense),
+            ([a, sin], [0.1], -1, shape),  # the value pass meets v0 first
+            ([a], [0.1], -1, negative),  # a lone stage's tower checks the order first
+            ([a], [0.1], 64, dense),
+            ([a, Identity(2)], [0.1], -1,
+             (ValueError, "chain mismatch: stage yields dim 1, next expects dim 2")),
+            ([], [0.1], 1, (ValueError, "chain must contain at least one program")),
+        ]
+        for chain, v, order, (kind, message) in cases:
+            with pytest.raises(kind) as err:
+                reverse_chain(chain, v, order)
+            assert type(err.value) is kind
+            assert str(err.value) == message
 
 
 class TestOrderReduction:

@@ -25,7 +25,15 @@ from tensorjet import (
 )
 from tensorjet import multitensor
 from tensorjet.multitensor import _monomials, _orbit_index, _pack, _pair_table, _unpack
-from tensorjet.program import _apply_prim, _horner, _prim_derivatives, _tanh_poly
+from tensorjet.program import (
+    _apply_prim,
+    _horner,
+    _prim_derivatives,
+    _tanh_poly,
+    _tanh_rows,
+    _tanh_seq,
+    _tanh_table,
+)
 
 from _gen import random_multitensor, random_program
 
@@ -175,6 +183,25 @@ def test_tanh_derivatives_match_an_integer_coefficient_horner():
     with pytest.raises(DomainEvalError) as got:
         _prim_derivatives(prim, np.array([0.3]), 164, "/x")
     assert str(got.value) == f"/x: elem(tanh) failed at 0.3: {want.value}"
+
+
+def _tanh_by_full_horner(j, x):
+    """T_j(tanh x) by Horner over every float coefficient, zeros included."""
+    t = math.tanh(x)
+    acc = 0.0
+    for c in reversed(_tanh_poly(j)):
+        acc = acc * t + float(c)
+    return acc
+
+
+def test_tanh_kernel_skips_zero_coefficients_bit_for_bit():
+    """T_j has powers of t of one parity only; skipping the others keeps every bit."""
+    grid = [s * x for x in (0.0, 5e-324, 1e-300, 0.5, 20.0, 400.0) for s in (1.0, -1.0)]
+    table = _tanh_table(24)
+    for x in grid:
+        want = [_tanh_by_full_horner(j, x) for j in range(25)]
+        assert np.array(_tanh_rows(table, x)).tobytes() == np.array(want).tobytes(), x
+        assert np.array([_tanh_seq(j, x) for j in range(25)]).tobytes() == np.array(want).tobytes()
 
 
 def test_unpacked_components_are_fresh_read_only_and_equal_to_a_copying_build():

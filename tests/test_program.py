@@ -309,6 +309,18 @@ class TestNodeValidation:
         with pytest.raises(ValueError):
             Product((Identity(1),))
 
+    def test_derivative_order_stops_at_63_before_its_output_dimension(self):
+        # dim_out * dim_in**k would be 2**(10**12) here: the check comes first
+        inner = Affine([[1.0, 1.0]], [0.0])
+        for k in (64, 10**12):
+            with pytest.raises(ValueError) as err:
+                ExtractedDerivative(inner, k)
+            assert str(err.value) == (
+                f"derivative order {k} is above 63, the largest of a dense tower "
+                "(its value needs its inner's dense tower to that order)")
+        assert inner.uses == 0
+        assert ExtractedDerivative(inner, 63).dim_out == 2**63
+
 
 def _cos_leaf():
     return Compose(Elementwise(get_primitive("cos")), Affine([[0.03]], [0.01]))

@@ -227,6 +227,20 @@ class TestErrors:
         with pytest.raises(SexprError, match="positive integer"):
             parse("(deriv id 0)")
 
+    @pytest.mark.parametrize("k", ["64", "1e12"])
+    def test_deriv_order_above_63_is_an_error_at_the_order(self, k):
+        # checked before the form's output dimension 1 * 2**k is computed
+        with pytest.raises(SexprError) as err:
+            parse(f"(deriv (affine [[1,1]] [0])\n {k})")
+        assert (err.value.line, err.value.column) == (2, 2)
+        assert str(err.value).endswith(
+            f"derivative order {int(float(k))} is above 63, the largest of a dense tower "
+            "(its value needs its inner's dense tower to that order)")
+
+    def test_deriv_order_63_parses(self):
+        assert parse("(deriv id 63)").k == 63
+        assert parse("(deriv (affine [[1,1]] [0]) 63)").dim_out == 2**63
+
     def test_nesting_limit(self):
         text = "(compose (elem sin)\n " * MAX_NESTING + "id" + ")" * MAX_NESTING
         with pytest.raises(SexprError, match=f"nested deeper than {MAX_NESTING}") as err:
