@@ -11,7 +11,8 @@ Towers are propagated forward through the DAG: every node combines its
 children's towers using only its own local derivative rule (closed forms for
 affine/polynomial layers, per-order derivative sequences for elementwise
 primitives, a Leibniz product expansion, truncated Horner for a run of
-elementwise stages and polynomial substitution for any other outer stage),
+elementwise stages, in closed form over a linear base of one input, and
+polynomial substitution for any other outer stage),
 so requesting a higher order never changes the lower-order components.
 Inside the walk a tower is packed: a symmetric tower stores each slot orbit
 once, as the derivative d^alpha for each multi-index alpha of degree <=
@@ -32,10 +33,13 @@ input curve x(t) truncated at t^K, it returns those of p(x(t)); along the
 ray x(t) = v + t*u, coefficient j is <tower_j, u^(x)j> / j!.
 ``operators.forward_chain`` pushes the identity series at a point, n =
 dim_in, through a pipeline.  The nonlinear jet rules are the tower kernels
-in n variables (truncated Horner, polynomial substitution and the product
-``_mul``), and a layer contracts its own weights one slot at a time, with no
-dense d^j tensors.  Those kernels never read an entry above the one they
-produce, so a deeper jet leaves the lower coefficients bitwise unchanged.
+in n variables (truncated Horner, in closed form along a ray, polynomial
+substitution and the product ``_mul``), and a layer contracts its own
+weights one slot at a time, with no dense d^j tensors.  Those kernels never
+read an entry above the one they produce, so a deeper jet leaves the lower
+coefficients bitwise unchanged.  The elementwise rule also reads above
+degree 1, to find a linear input, but the bits it gets either way are
+those of truncated Horner wherever they are finite.
 
 So every node type has three local rules: its value, its derivative tower,
 and its jet.  Where a rule only adds or passes results on, the value rule
@@ -800,7 +804,8 @@ def _extracted_value(p, v, k, path):
 # ``Compose`` over the next, is one local rule over its base, the first node
 # below it that is not such a stage: the stages act on each coordinate as one
 # univariate function, so their truncated series compose in a balanced tree
-# and one truncated Horner applies the composite to the base's packed tower.
+# and one truncated Horner applies the composite to the base's packed tower,
+# in closed form over an identity or affine base of one input.
 # Product, polynomial-layer and extracted-derivative nodes, and compositions
 # with any other outer node, apply their dense operators and convert at their
 # boundary.
@@ -954,10 +959,13 @@ def _horner_coeffs(coeffs: np.ndarray, inner: np.ndarray, dim_in: int, degree: i
     ``degree`` at most and its packed tower ``inner``: the step for r needs
     only degrees up to k - r, a prefix in graded order, and multiplies by s
     over the prefix of the pair table that reaches it, so a deeper tower
-    leaves the lower entries as they are.  With ``series`` g and the result
-    are in series scaling (unit weights); with ``dim_in`` 1 and ``series``
-    it composes univariate series.
+    leaves the lower entries as they are.  A linear g in one variable takes
+    Horner's closed form, ``_linear_coeffs``.  With ``series`` g and the
+    result are in series scaling (unit weights); with ``dim_in`` 1 and
+    ``series`` it composes univariate series.
     """
+    if degree == 1 and dim_in == 1 and len(coeffs) > 1:
+        return _linear_coeffs(coeffs, inner, series)
     k = coeffs.shape[0] - 1
     h = np.zeros((coeffs.shape[1], math.comb(dim_in + k, k)))
     h[:, 0] = coeffs[k if degree else 0]  # a constant g (degree 0) is all its value
@@ -969,6 +977,39 @@ def _horner_coeffs(coeffs: np.ndarray, inner: np.ndarray, dim_in: int, degree: i
             h[:, 0] = coeffs[r]
     h[:, 1:] += 0.0  # a sum of -0 terms is +0, as in a sum that starts at +0
     return h
+
+
+def _linear_coeffs(coeffs: np.ndarray, inner: np.ndarray, series: bool) -> np.ndarray:
+    """``_horner_coeffs`` for a linear g = g0 + s*t in one variable, in closed form.
+
+    Entry j is coeffs[j] * s^j in series scaling and coeffs[j] * s^j * j! in
+    tower scaling, formed as Horner forms it: coeffs[j] times s (times s * t
+    at the t-th factor in tower scaling), j times, so it has Horner's bits.
+    Row j of a table per coordinate holds coeffs[j], the j factors and then
+    ones; one accumulate multiplies every row out, and entry j is its
+    diagonal.  Each entry reads its own coefficient alone, so a deeper tower
+    leaves the lower entries as they are.
+    """
+    k = coeffs.shape[0] - 1
+    d_out = inner.shape[0]
+    factors = inner[:, 1:2] if series else inner[:, 1:2] * np.arange(k + 1.0)
+    h = np.empty((d_out, k + 1))
+    rows = max(1, (1 << 15) // (k + 1) ** 2)  # bounds the temporaries
+    for lo in range(0, d_out, rows):
+        at = slice(lo, lo + rows)
+        table = np.where(_lower(k), factors[at, None], 1.0)
+        table[:, :, 0] = coeffs[:, at].T
+        h[at] = np.multiply.accumulate(table, axis=2).reshape(len(table), -1)[:, ::k + 2]
+    h[:, 1:] += 0.0  # a -0 entry is +0, as Horner's sums turn it
+    return h
+
+
+@lru_cache(maxsize=None)
+def _lower(k: int) -> np.ndarray:
+    """``[j, t]`` is whether t <= j, for 0 <= j, t <= k."""
+    out = np.tri(k + 1, dtype=bool)
+    out.flags.writeable = False
+    return out
 
 
 def _tower_degree(node: Program, k: int) -> int:
@@ -1007,8 +1048,10 @@ def _extracted_tower(p, v, k, path):
 # (``series=True``) and no factorial enters the walk.  A request carries
 # ``(n, K)``.  Nonlinear rules are the tower kernels in n variables:
 # truncated Horner, polynomial substitution and the product
-# ``multitensor._mul``.  ``jet`` is n = 1, a curve; ``operators.forward_chain``
-# pushes the identity series at a point, n = dim_in, through each stage.
+# ``multitensor._mul``.  An elementwise stage over a ray, a curve with no
+# entry above degree 1, takes Horner's closed form (``_linear_coeffs``).
+# ``jet`` is n = 1, a curve; ``operators.forward_chain`` pushes the identity
+# series at a point, n = dim_in, through each stage.
 # Sums over a vector index run over a leading axis, which numpy adds in
 # index order whatever K is; a BLAS product would not, nor would numpy with
 # a single column (it sums that pairwise), so no caller walks one.
@@ -1051,7 +1094,13 @@ def _elementwise_jet(p, x, k, path):
             f"{path or '/'}: elem({p.fn.name}): order {K} is above {_MAX_FACTORIAL_ORDER}, "
             "the largest whose factorial is a float"
         )
-    return _horner(_prim_derivatives(p.fn, x[:, 0], K, path), x, n, K, series=True)
+    # An input with no nonzero (or NaN) entry above degree 1 is linear: Horner
+    # of degree 1 skips products with those zeros, and a ray (n = 1) takes the
+    # closed form, whose bits are Horner's.  Either way the bits are those of
+    # degree K wherever they are finite, so reading above degree 1 to choose
+    # moves no finite coefficient of a deeper jet.
+    degree = K if np.count_nonzero(x[:, n + 1:]) else 1
+    return _horner(_prim_derivatives(p.fn, x[:, 0], K, path), x, n, degree, series=True)
 
 
 def _product_jet(p, x, k, path):

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tensorjet.multitensor import _monomials, _orbit_index, _pack, _pair_table, 
 from tensorjet.program import (
     _apply_prim,
     _horner,
+    _horner_coeffs,
     _prim_derivatives,
     _tanh_poly,
     _tanh_rows,
@@ -229,16 +231,22 @@ def test_derivative_and_composed_towers_are_read_only():
         assert all(not c.flags.writeable for c in tower.components)
 
 
-def _horner_on_the_whole_table(fvals, inner, dim_in, degree):
-    """Truncated Horner slicing the deepest pair table at every step."""
-    k = fvals.shape[0] - 1
-    coeffs = fvals / np.array([math.factorial(r) for r in range(k + 1)], dtype=float)[:, None]
+def _horner_on_the_whole_table(coeffs, inner, dim_in, degree, series=False):
+    """Truncated Horner slicing the deepest pair table at every step.
+
+    It is the arithmetic every inner degree ran before the closed form, so it
+    is the reference for the closed form's bits.  Each product is h times s,
+    in that order, which decides the NaN that a product of two NaNs returns.
+    """
+    k = coeffs.shape[0] - 1
     h = coeffs[k][:, None]
     ia, ib, weight, heads, cuts = _pair_table(dim_in, k, degree)
-    s = inner[:, ia[:cuts[k][0]]] * weight[:cuts[k][0]]
+    s = inner[:, ia[:cuts[k][0]]]
+    if not series:
+        s = s * weight[:cuts[k][0]]
     for r in range(k - 1, -1, -1):
         pairs, targets = cuts[k - r]
-        sums = np.add.reduceat(s[:, :pairs] * h[:, ib[:pairs]], heads[:targets], axis=1)
+        sums = np.add.reduceat(h[:, ib[:pairs]] * s[:, :pairs], heads[:targets], axis=1)
         sums += 0.0
         h = np.concatenate((coeffs[r][:, None], sums), axis=1)
     return h
@@ -251,5 +259,129 @@ def test_horner_with_cached_step_slices_keeps_every_bit():
         degree = 1 + case % k
         inner = _pack(multitensor.symmetrize(random_multitensor(rng, d, d, k)).components, d)
         fvals = rng.uniform(-2.0, 2.0, size=(k + 1, d))
-        want = _horner_on_the_whole_table(fvals, inner, d, degree)
+        coeffs = fvals / np.array([math.factorial(r) for r in range(k + 1)], dtype=float)[:, None]
+        want = _horner_on_the_whole_table(coeffs, inner, d, degree)
         assert _horner(fvals, inner, d, degree).tobytes() == want.tobytes()
+
+
+# --- an elementwise stage over a linear inner -------------------------------------
+#
+# In one variable the kernel takes the closed form; in more it runs Horner of
+# degree 1.  Either way it has the bits of the Horner reference above.
+
+
+def _multi_indices(d, k):
+    """Exponents of each multi-index of degree <= k in packed order, from itertools alone."""
+    for j in range(k + 1):
+        for slots in itertools.combinations_with_replacement(range(d), j):
+            yield tuple(slots.count(i) for i in range(d))
+
+
+def _exact_linear(coeffs, s, series):
+    """f(g0 + s.x) packed, in Fractions: coeffs[|a|] * s^a times |a|!/a! (series) or |a|!."""
+    k, d = coeffs.shape[0] - 1, s.shape[1]
+    rows = []
+    for c, si in zip(coeffs.T.tolist(), s.tolist()):
+        row = []
+        for a in _multi_indices(d, k):
+            r = sum(a)
+            entry = Fraction(c[r]) * math.factorial(r)
+            if series:
+                entry /= math.prod(map(math.factorial, a))
+            for x, e in zip(si, a):
+                entry *= Fraction(x) ** e
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
+def _linear_case(rng, d, k):
+    """Coefficients and a full inner tower (its entries above degree 1 are not read),
+    with zero and -0 components in the linear part and -0 coefficients."""
+    coeffs = rng.uniform(-2.0, 2.0, size=(k + 1, 2))
+    coeffs[rng.random(coeffs.shape) < 0.15] = -0.0
+    inner = rng.uniform(-2.0, 2.0, size=(2, math.comb(d + k, k)))
+    if k:
+        linear = inner[:, 1:d + 1]
+        linear[rng.random(linear.shape) < 0.3] = 0.0
+        linear[rng.random(linear.shape) < 0.3] = -0.0
+    return coeffs, inner
+
+
+LINEAR_CASES = [(d, k) for d in range(1, 5) for k in range(9)] + [(1, k) for k in range(9, 25)]
+
+
+@pytest.mark.parametrize("series", [False, True])
+def test_linear_inner_is_within_its_bound_and_deeper_orders_keep_its_bits(series):
+    """Entry a is built from coeffs[|a|] in |a| steps, each a product by s_i (times a
+    weight in tower scaling) and a sum of at most d terms of one sign, so it is within
+    (d + 1)|a| + 1 units of 2^-53 of the exact entry; in one variable that is the
+    closed form.  It has the reference's bits, so its error is never larger, and a
+    deeper order leaves every lower entry's bits."""
+    rng = np.random.default_rng(65)
+    for d, k in LINEAR_CASES:
+        coeffs, inner = _linear_case(rng, d, k + 1)
+        deep = _horner_coeffs(coeffs, inner, d, 1, series)
+        size = math.comb(d + k, k)
+        low = _horner_coeffs(coeffs[:k + 1], inner[:, :size], d, 1, series)
+        assert low.tobytes() == np.ascontiguousarray(deep[:, :size]).tobytes(), (d, k)
+        want = _horner_on_the_whole_table(coeffs[:k + 1], inner[:, :size], d, 1, series)
+        assert low.tobytes() == want.tobytes(), (d, k)
+        exact = _exact_linear(coeffs[:k + 1], inner[:, 1:d + 1], series)
+        degrees = [sum(a) for a in _multi_indices(d, k)]
+        assert low[:, 0].tobytes() == coeffs[0].tobytes()
+        for row, exact_row in zip(low.tolist(), exact):
+            for x, e, r in zip(row[1:], exact_row[1:], degrees[1:]):
+                assert abs(Fraction(x) - e) <= ((d + 1) * r + 1) * 2.0**-53 * abs(e), (d, k, r)
+                assert x != 0.0 or math.copysign(1.0, x) == 1.0  # no -0 past the value
+
+
+def test_linear_inner_marks_non_finite_the_entries_horner_marks():
+    """inf and NaN coefficients and linear parts: the reference's entries, non-finite
+    ones included, and the value column is the coefficients' own."""
+    rng = np.random.default_rng(66)
+    specials = [math.inf, -math.inf, math.nan]
+    marked = 0
+    for case in range(320):
+        d, k, series = 1 + case % 4, 1 + case % 7, case % 3 == 0
+        coeffs, inner = _linear_case(rng, d, k)
+        for _ in range(1 + case % 2):
+            if rng.random() < 0.5:
+                coeffs[rng.integers(k + 1), rng.integers(2)] = rng.choice(specials)
+            else:
+                inner[rng.integers(2), 1 + rng.integers(d)] = rng.choice(specials)
+        with np.errstate(all="ignore"):
+            got = _horner_coeffs(coeffs, inner, d, 1, series)
+            want = _horner_on_the_whole_table(coeffs, inner, d, 1, series)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert got[:, 0].tobytes() == coeffs[0].tobytes()
+        assert got.tobytes() == want.tobytes()
+        marked += np.count_nonzero(~np.isfinite(got))
+    assert marked > 1000
+
+
+def test_closed_form_forms_no_power_above_an_entrys_degree():
+    """s^16 overflows at s = 1e20, but a polynomial of degree 2 never needs it."""
+    coeffs = np.zeros((17, 3))
+    coeffs[:3] = np.random.default_rng(67).uniform(-2.0, 2.0, size=(3, 3))
+    inner = np.full((3, 17), 1e20)
+    for series in (False, True):
+        with np.errstate(all="raise"):
+            got = _horner_coeffs(coeffs, inner, 1, 1, series)
+        assert np.isfinite(got).all() and not got[:, 3:].any()
+
+
+def test_tower_of_an_elementwise_stage_over_an_affine_base_is_the_kernel():
+    rng = np.random.default_rng(68)
+    for d in range(1, 5):
+        for k in range(6):
+            a, b, v = rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
+            base = np.zeros((d, math.comb(d + k, k)))
+            base[:, 0] = a @ v + b
+            if k:
+                base[:, 1:d + 1] = a
+            for name in ("sin", "tanh", "exp"):
+                p = Compose(Elementwise(get_primitive(name), d), Affine(a, b))
+                fvals = _prim_derivatives(p.outer.fn, base[:, 0], k, "")
+                want = _unpack(_horner(fvals, base, d, 1), d, k)
+                assert _bits(derivative_tower(p, v, k).tower) == _bits(want)

@@ -156,10 +156,53 @@ class TestRationalPoly:
         assert RationalPoly([1, 2, 0, 0]).coeffs == (Fraction(1), Fraction(2))
 
 
+def integer_power_rays():
+    """pow(m), m = 2..22, on integer rays: ``(program, v0, u, lines)``, where output i
+    runs along a_i + b_i h.  The derivatives m!/(m-j)! are exact floats up to m = 22
+    and |a_i| <= 2, |b_i| <= 2, so every ray coefficient is an exact integer."""
+    rng = np.random.default_rng(34)
+    mix = np.array([[1.0, 0.0], [1.0, -1.0]])
+    for m in range(2, 23):
+        for _ in range(2):
+            a, b = int(rng.integers(-2, 3)), int(rng.choice([-1, 1]))
+            yield monomial(m), [float(a)], [float(b)], [(a, b)]
+            v0, u = rng.integers(-1, 2, size=2), rng.choice([-1, 1], size=2)
+            p = Compose(Elementwise(integer_power(m), 2), Affine(mix, [0.0, 0.0]))
+            yield p, v0.astype(float), u.astype(float), list(zip(mix @ v0, mix @ u))
+
+
+def power_sum(a, b, m, n):
+    """sum_{h=0..n} (a + b h)^m, in integers."""
+    return sum((int(a) + int(b) * h) ** m for h in range(n + 1))
+
+
+def power_sum_poly(a, b, m):
+    """Coefficients in n, ascending, of sum_{h=0..n} (a + b h)^m, from the integer
+    sums alone: the polynomial of degree m + 1 through them at n = 0..m + 1."""
+    points = range(m + 2)
+    out = [Fraction(0)] * (m + 2)
+    for x in points:  # Lagrange
+        basis, scale = [Fraction(1)], Fraction(power_sum(a, b, m, x))
+        for y in points:
+            if y != x:
+                basis = [lo - y * hi for lo, hi in zip([Fraction(0)] + basis, basis + [0])]
+                scale /= x - y
+        out = [c + scale * e for c, e in zip(out, basis)]
+    return out
+
+
 class TestReduceSumApply:
     def test_square_program(self):
+        """The square, and pow(m) up to m = 22 on integer rays at orders up to 24:
+        the brute-force integer sum, rounded once."""
         got = reduce_sum_apply(monomial(2), [0.0], [1.0], 3, 3)
         assert got[0] == 14.0
+        for p, v0, u, lines in integer_power_rays():
+            m = int(p.outer.fn.name[3:])
+            for order in (m, 24):
+                for n in range(4):
+                    want = [float(power_sum(a, b, m, n)) for a, b in lines]
+                    assert reduce_sum_apply(p, v0, u, n, order).tolist() == want
 
     def test_affine_program(self):
         A = np.array([[2.0, -1.0], [0.5, 1.5]])
@@ -317,8 +360,20 @@ class TestShiftSemigroup:
 
 class TestReductionVelocity:
     def test_first_derivative_of_square_sum(self):
+        """The square, and pow(m) up to m = 22 on integer rays at orders up to 24: the
+        derivatives in n of the polynomial through the brute-force integer sums."""
         got = reduction_velocity(monomial(2), [0.0], [1.0], 3, 1, 3)
         assert got[0] == pytest.approx(9 + 3 + 1 / 6, abs=1e-12)
+        for p, v0, u, lines in integer_power_rays():
+            m = int(p.outer.fn.name[3:])
+            polys = [power_sum_poly(a, b, m) for a, b in lines]
+            for order in (m, 24):
+                for n, k in ((3, 0), (2, 1), (5, 2), (1, m + 1)):
+                    want = [float(sum(c * math.perm(j, k) * Fraction(n) ** (j - k)
+                                      for j, c in enumerate(q) if j >= k)) for q in polys]
+                    if k == 0:
+                        assert want == [float(power_sum(a, b, m, n)) for a, b in lines]
+                    assert reduction_velocity(p, v0, u, n, k, order).tolist() == want
 
     def test_above_degree_vanishes(self):
         got = reduction_velocity(monomial(2), [0.0], [1.0], 3, 7, 3)
