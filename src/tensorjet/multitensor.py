@@ -539,8 +539,8 @@ def _substitute(f: np.ndarray, g: np.ndarray, dim_in: int, order: int,
     nested form: h_alpha = c_alpha + sum of delta_i * h_(alpha + e_i) over the
     children of alpha (i at least alpha's last variable), from f's degree down
     to h_0.  Degree j needs h up to degree ``order - j``; each product is a
-    Horner step, so an elementwise f gets ``program._horner``'s bits.  With
-    ``series`` g and the result are in series scaling (unit weights).
+    Horner step, so an elementwise f gets ``program._horner_coeffs``'s bits.
+    With ``series`` g and the result are in series scaling (unit weights).
     """
     d_out, d = f.shape[0], g.shape[0]
     degree = _packed_degree(f, d, order)

@@ -3,19 +3,22 @@
 ``taylor_series`` turns a program into its truncated tensor series at a
 point: the derivative tower with component n scaled by 1/n!, so that
 evaluating the series at step ``h`` and direction ``v`` approximates the
-program at the shifted argument ``v0 + h*v``.
+program at the shifted argument ``v0 + h*v``.  It unpacks the walk's packed
+tower once, in series scaling.
 
 ``compose_towers`` combines the derivative towers of two programs into the
 tower of their composition by polynomial substitution in the truncated
 polynomial ring, one packed entry per multi-index, so the result is exactly
 symmetric.  The DAG walk calls it for a ``Compose`` node whose outer stage is
-not elementwise.  ``reverse_chain`` folds the stages' packed towers from the
-last stage by the same substitution, with no dense tower in between;
-``compose_towers`` is its last junction, with the first stage's tower, and
-yields the dense result.  ``forward_chain`` builds no stage tower: it pushes
-one packed series in dim_in variables, the pipeline's running truncated
-Taylor polynomial, through the stages by the walk's jet rules and expands it
-once.  Both directions produce the tower of the full composite.
+not elementwise.  ``reverse_chain`` walks each stage's packed tower once,
+first to last, at the value of the tower before it (a tower's value is
+``evaluate``'s, bit for bit), then folds them from the last stage by the
+same substitution, with no dense tower in between; ``compose_towers`` is its
+last junction, with the first stage's tower, and yields the dense result.
+``forward_chain`` builds no stage tower: it pushes one packed series in
+dim_in variables, the pipeline's running truncated Taylor polynomial,
+through the stages by the walk's jet rules and expands it once.  Both
+directions produce the tower of the full composite.
 
 ``order_reduce`` reinterprets a tower one order down, turning the derivative
 itself into a program value: the first tensor slot of each component is
@@ -43,7 +46,8 @@ from .multitensor import (
     truncate,
 )
 from .multitensor import _symmetrize_component  # noqa: F401  a site of bench/spans.py REQUIRED_SITES
-from .program import DerivativeTower, Program, _tower_input, _walk, derivative_tower
+from .program import DerivativeTower, Program, _tower_input, _walk
+from .program import derivative_tower  # noqa: F401  a site of bench/spans.py REQUIRED_SITES
 
 _BASE_TOL = 1e-9  # relative tolerance on the base point shared by composed towers
 
@@ -72,9 +76,9 @@ class TensorSeries:
 
 def taylor_series(program: Program, v0, order: int) -> TensorSeries:
     """Expand a program around ``v0``: derivative tower rescaled to series coefficients."""
-    t = derivative_tower(program, v0, order)
-    comps = [c / math.factorial(j) for j, c in enumerate(t.tower.components)]
-    return TensorSeries(base_point=t.at, tower=MultiTensor(t.tower.shape, comps))
+    v0 = _tower_input(program, v0, order)
+    return TensorSeries(base_point=v0, tower=_unpack(
+        _walk(program, v0, order), program.dim_in, order, series=True))
 
 
 def series_eval(series: TensorSeries, h: float, v) -> np.ndarray:
@@ -126,32 +130,23 @@ def compose_towers(outer: DerivativeTower, inner: DerivativeTower) -> Derivative
     read packed, one entry per slot orbit (every :func:`derivative_tower` is
     exactly symmetric), and substituted: the sum over multi-indices alpha of
     d^alpha outer / alpha! * delta^alpha, delta the inner tower less its value.
+    The result's value is the outer tower's.
     """
     if outer.order != inner.order:
         raise ValueError(
             f"tower orders differ: outer {outer.order}, inner {inner.order}"
         )
     k, d_in = inner.order, inner.tower.dim_in
-    packed = _compose_packed(_pack(outer.tower.components, outer.tower.dim_in), outer.at,
-                             _pack(inner.tower.components, d_in), d_in, k)
-    return DerivativeTower(at=inner.at, tower=_unpack(packed, d_in, k))
-
-
-def _compose_packed(outer_packed: np.ndarray, outer_at: np.ndarray, inner_packed: np.ndarray,
-                    d_in: int, k: int) -> np.ndarray:
-    """Packed order-k tower of ``outer . inner`` from the factors' packed towers.
-
-    The outer tower was expanded at ``outer_at``, which must be the inner's
-    value to a relative ``_BASE_TOL``; the inner has ``d_in`` inputs.
-    """
-    mid = inner_packed[:, 0]
+    mid = inner.value
     scale_ref = max(1.0, float(np.abs(mid).max()))
-    if outer_at.shape != mid.shape or np.abs(outer_at - mid).max() > _BASE_TOL * scale_ref:
+    if outer.at.shape != mid.shape or np.abs(outer.at - mid).max() > _BASE_TOL * scale_ref:
         raise ValueError(
             "base point mismatch: outer tower expanded at "
-            f"{outer_at}, inner evaluates to {mid}"
+            f"{outer.at}, inner evaluates to {mid}"
         )
-    return _substitute(outer_packed, inner_packed, d_in, k)
+    packed = _substitute(_pack(outer.tower.components, outer.tower.dim_in),
+                         _pack(inner.tower.components, d_in), d_in, k)
+    return DerivativeTower(at=inner.at, tower=_unpack(packed, d_in, k))
 
 
 def forward_chain(programs, v0, order: int) -> DerivativeTower:
@@ -182,28 +177,27 @@ def forward_chain(programs, v0, order: int) -> DerivativeTower:
 def reverse_chain(programs, v0, order: int) -> DerivativeTower:
     """Tower of the composite pipeline, accumulated last-to-first.
 
-    Runs one forward value pass to collect intermediate points, then folds
-    the stages' packed towers backwards, each substituted into the running
-    suffix tower with its base point checked.  The last junction, with the
-    first stage's tower at ``v0``, is :func:`compose_towers`, which returns
-    the dense tower.  Agrees with :func:`forward_chain`.
+    Walks each stage's packed tower once, first to last, at the value of the
+    tower before it, then folds the towers backwards, each substituted into
+    the running suffix tower at the base point it was walked at.  The last
+    junction, with the first stage's tower at ``v0``, is
+    :func:`compose_towers`, which returns the dense tower.  Agrees with
+    :func:`forward_chain`.
     """
-    from .program import evaluate
-
     programs = list(programs)
     _check_chain(programs)
-    points = [np.asarray(v0, dtype=np.float64)]
-    for stage in programs[:-1]:
-        points.append(evaluate(stage, points[-1]))
-    if len(programs) == 1:
-        return derivative_tower(programs[0], v0, order)
-    last = programs[-1]
-    acc = _walk(last, _tower_input(last, points[-1], order), order)
-    for stage, at, outer_at in zip(programs[-2:0:-1], points[-2:0:-1], points[:1:-1]):
-        inner = _walk(stage, _tower_input(stage, at, order), order)
-        acc = _compose_packed(acc, outer_at, inner, stage.dim_in, order)
-    outer = DerivativeTower(at=points[1], tower=_unpack(acc, programs[1].dim_in, order))
-    return compose_towers(outer, derivative_tower(programs[0], v0, order))
+    v0 = _tower_input(programs[0], v0, order)
+    towers = [_walk(programs[0], v0, order)]
+    for stage in programs[1:]:
+        towers.append(_walk(stage, towers[-1][:, 0].copy(), order))
+    first = DerivativeTower(at=v0, tower=_unpack(towers[0], programs[0].dim_in, order))
+    if len(towers) == 1:
+        return first
+    acc = towers[-1]
+    for stage, inner in zip(programs[-2:0:-1], towers[-2:0:-1]):
+        acc = _substitute(acc, inner, stage.dim_in, order)
+    outer = DerivativeTower(at=towers[0][:, 0], tower=_unpack(acc, programs[1].dim_in, order))
+    return compose_towers(outer, first)
 
 
 def _check_chain(programs):

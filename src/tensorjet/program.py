@@ -42,12 +42,14 @@ degree 1, to find a linear input, but the bits it gets either way are
 those of truncated Horner wherever they are finite.
 
 So every node type has three local rules: its value, its derivative tower,
-and its jet.  Where a rule only adds or passes results on, the value rule
-serves the other requests too: identity's serves jets, sum's towers and
-jets.  A composition passes jets on stage by stage.  The value of a run of
-elementwise stages, and the derivatives of its stages, are one pass in
-floats from its base up; a lone elementwise node takes the same pass, with
-one table of kernels for the built-in primitives.
+and its jet.  A tower rule takes its value from the value rule's arithmetic,
+so a tower's value is what ``evaluate`` returns, bit for bit.  Where a rule
+only adds or passes results on, the value rule serves the other requests
+too: identity's serves jets, sum's towers and jets.  A composition passes
+jets on stage by stage.  The value of a run of elementwise stages, and the
+derivatives of its stages, are one pass in floats from its base up; a lone
+elementwise node takes the same pass, with one table of kernels for the
+built-in primitives.
 
 Each node type is one slotted class whose constructor checks its arguments,
 sets the node's ``signature`` and ``children`` and adds one to each child's
@@ -758,6 +760,11 @@ def _product_value(p, v, k, path):
     vals = []
     for i, child in enumerate(p.children):
         vals.append((yield child, v, None, f"{path}/prod[{i}]"))
+    return _product_of(p, vals)
+
+
+def _product_of(p, vals):
+    """The product node's value from its children's values; its tower's value too."""
     if p.bilinear is None:
         out = vals[0]
         for val in vals[1:]:
@@ -833,24 +840,26 @@ def _affine_tower(p, v, k, path):
 
 
 def _layer_tower(p, v, k, path):
-    # The polynomial map only sees the symmetric part of each stored tensor,
-    # so derivatives follow the falling-factorial rule on symmetrized weights.
+    # The value is the layer's value rule.  The polynomial map only sees the
+    # symmetric part of each stored tensor, so derivatives 1..k follow the
+    # falling-factorial rule on symmetrized weights.
     w = p.weights
+    out = np.zeros((w.dim_out, math.comb(w.dim_in + k, k)))
+    out[:, 0] = eval_polynomial(w, v)
     sym = symmetrize(w)
     comps = [np.zeros((w.dim_out,) + (w.dim_in,) * j) for j in range(min(w.order, k) + 1)]
-    for j in range(w.order + 1):
+    for j in range(1, w.order + 1):
         term = sym.components[j]
         top = min(j, k)
         for _ in range(j - top):
             term = np.tensordot(term, v, axes=([-1], [0]))
-        for r in range(top, -1, -1):
+        for r in range(top, 0, -1):
             # term == sym_j contracted with v in its last j - r slots
             comps[r] = comps[r] + math.perm(j, r) * term
-            if r > 0:
+            if r > 1:
                 term = np.tensordot(term, v, axes=([-1], [0]))
-    out = np.zeros((w.dim_out, math.comb(w.dim_in + k, k)))
     low = _pack(comps, w.dim_in)  # the components above the layer's order are zero
-    out[:, :low.shape[1]] = low
+    out[:, 1:low.shape[1]] = low[:, 1:]
     return out
 
 
@@ -874,7 +883,9 @@ def _product_tower(p, v, k, path):
     for i, t in enumerate(towers[1:]):
         bilinear = p.bilinear if i == len(towers) - 2 else None
         acc = algebra_product(acc, scaled[id(t)], bilinear, max_order=k)
-    return _pack(symmetrize(acc).components, p.dim_in, series=True)
+    out = _pack(symmetrize(acc).components, p.dim_in, series=True)
+    out[:, 0] = _product_of(p, [t[:, 0].copy() for t in towers])
+    return out
 
 
 def _compose_tower(p, v, k, path):
@@ -938,17 +949,6 @@ def _compose_series(coeffs: np.ndarray) -> np.ndarray:
         top = _horner_coeffs(outer.T, inner, 1, width - 1, series=True)
         coeffs = np.concatenate([top.reshape(pairs, d, width), coeffs[2 * pairs:]])
     return coeffs[0]
-
-
-def _horner(fvals: np.ndarray, inner: np.ndarray, dim_in: int, degree: int,
-            series: bool = False) -> np.ndarray:
-    """Packed tower of f(g) from ``fvals[r, i]`` = f^(r)(g_i(v)) and g's packed tower.
-
-    ``_horner_coeffs`` on the Taylor coefficients f^(r)(g0)/r!.
-    """
-    k = fvals.shape[0] - 1
-    return _horner_coeffs(fvals / _column_factorials(1, k)[:, None], inner, dim_in, degree,
-                          series)
 
 
 def _horner_coeffs(coeffs: np.ndarray, inner: np.ndarray, dim_in: int, degree: int,
@@ -1070,7 +1070,8 @@ def _affine_jet(p, x, k, path):
 
 def _layer_jet(p, x, k, path):
     # sum_j w_j . x^(x)j from the raw weights, one slot at a time, so integer
-    # weights stay exact (the layer's tower holds symmetrized orbit means)
+    # weights stay exact (the layer's tower takes its value from the raw
+    # weights too, but its derivatives from symmetrized orbit means)
     n, K = k
     out = np.zeros((p.dim_out, x.shape[1]))
     out[:, 0] = p.weights.components[0]
@@ -1100,7 +1101,8 @@ def _elementwise_jet(p, x, k, path):
     # degree K wherever they are finite, so reading above degree 1 to choose
     # moves no finite coefficient of a deeper jet.
     degree = K if np.count_nonzero(x[:, n + 1:]) else 1
-    return _horner(_prim_derivatives(p.fn, x[:, 0], K, path), x, n, degree, series=True)
+    coeffs = _prim_derivatives(p.fn, x[:, 0], K, path) / _column_factorials(1, K)[:, None]
+    return _horner_coeffs(coeffs, x, n, degree, series=True)
 
 
 def _product_jet(p, x, k, path):

@@ -36,6 +36,7 @@ from tensorjet import (
 from tensorjet import multitensor
 from tensorjet.multitensor import (
     ShapeMismatchError,
+    _column_factorials,
     _pack,
     _symmetrize_component,
     _unpack,
@@ -45,7 +46,7 @@ from tensorjet.multitensor import (
 import tensorjet.operators as operators_module
 import tensorjet.program as program_module
 from tensorjet.operators import reduction_commutes
-from tensorjet.program import DerivativeTower, _horner, _prim_derivatives, _tower_degree
+from tensorjet.program import DerivativeTower, _horner_coeffs, _prim_derivatives, _tower_degree
 
 from _gen import (
     fd_hessian,
@@ -245,7 +246,8 @@ class TestDiagonalChainRule:
             inner_tower = derivative_tower(inner, v, k)
             fvals = _prim_derivatives(prim, inner_tower.value, k, "")
             packed = _pack(inner_tower.tower.components, d)
-            got = _unpack(_horner(fvals, packed, d, _tower_degree(inner, k)), d, k)
+            coeffs = fvals / _column_factorials(1, k)[:, None]
+            got = _unpack(_horner_coeffs(coeffs, packed, d, _tower_degree(inner, k)), d, k)
             dense = compose_towers(
                 derivative_tower(outer, inner_tower.value, k), inner_tower
             )
@@ -532,7 +534,8 @@ class TestSkippedChainRuleTerms:
         with np.errstate(invalid="ignore"):
             towers = [compose_towers(derivative_tower(o, inner.value, k), inner).tower
                       for o in outers]
-            packed = _horner(fvals, _pack(inner.tower.components, d), d, k)
+            packed = _horner_coeffs(fvals / _column_factorials(1, k)[:, None],
+                                    _pack(inner.tower.components, d), d, k)
             towers.append(_unpack(packed, d, k))
         for tower in towers:
             assert not all(np.all(np.isfinite(c)) for c in tower.components[1:])
@@ -673,22 +676,23 @@ class TestReverseChainFold:
                         cases += 1
         assert cases == 180
 
-    def test_every_junction_checks_its_base_point(self, monkeypatch):
-        rng = np.random.default_rng(62)
-        chain = random_chain(rng, 4, 2, 2, depth=2)
-        v = rng.uniform(-0.5, 0.5, size=2)
-        evaluate_exactly = program_module.evaluate
-        for moved in chain[:-1]:
-            def evaluate_off(p, x, moved=moved):
-                return evaluate_exactly(p, x) + (1e-6 if p is moved else 0.0)
+    def test_takes_its_points_from_its_stage_towers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called")
 
-            monkeypatch.setattr(program_module, "evaluate", evaluate_off)
-            errors = []
-            for run in (reverse_chain, _reverse_fold):
-                with pytest.raises(ValueError) as err:
-                    run(chain, v, 2)
-                errors.append(str(err.value))
-            assert errors[0] == errors[1] and errors[0].startswith("base point mismatch")
+        rng = np.random.default_rng(62)
+        for kind in ("layer", "product", "deriv"):
+            special = _special_stage(rng, kind, 2)
+            chain = (random_chain(rng, 1, 2, 2, depth=2) + [special]
+                     + random_chain(rng, 2, special.dim_out, 2, 2))
+            v = rng.uniform(-0.5, 0.5, size=2)
+            want = _reverse_fold(chain, v, 3)
+            with monkeypatch.context() as patched:
+                patched.setattr(program_module, "evaluate", refuse)
+                patched.setattr(operators_module, "derivative_tower", refuse)
+                got = reverse_chain(chain, v, 3)
+            assert np.array_equal(got.at, want.at)
+            assert _bitwise_equal(got.tower, want.tower), kind
 
     def test_errors_and_their_order(self):
         sin = Elementwise(get_primitive("sin"))
@@ -703,8 +707,8 @@ class TestReverseChainFold:
             ([a, sin], [0.1, 0.2], -1, negative),
             ([sin], [0.1], -1, negative),
             ([a, sin], [0.1, 0.2], 64, dense),
-            ([a, sin], [0.1], -1, shape),  # the value pass meets v0 first
-            ([a], [0.1], -1, negative),  # a lone stage's tower checks the order first
+            ([a, sin], [0.1], -1, negative),  # the order is checked before the point
+            ([a], [0.1], -1, negative),
             ([a], [0.1], 64, dense),
             ([a, Identity(2)], [0.1], -1,
              (ValueError, "chain mismatch: stage yields dim 1, next expects dim 2")),

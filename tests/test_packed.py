@@ -25,10 +25,16 @@ from tensorjet import (
     truncate,
 )
 from tensorjet import multitensor
-from tensorjet.multitensor import _monomials, _orbit_index, _pack, _pair_table, _unpack
+from tensorjet.multitensor import (
+    _column_factorials,
+    _monomials,
+    _orbit_index,
+    _pack,
+    _pair_table,
+    _unpack,
+)
 from tensorjet.program import (
     _apply_prim,
-    _horner,
     _horner_coeffs,
     _prim_derivatives,
     _tanh_poly,
@@ -261,7 +267,8 @@ def test_horner_with_cached_step_slices_keeps_every_bit():
         fvals = rng.uniform(-2.0, 2.0, size=(k + 1, d))
         coeffs = fvals / np.array([math.factorial(r) for r in range(k + 1)], dtype=float)[:, None]
         want = _horner_on_the_whole_table(coeffs, inner, d, degree)
-        assert _horner(fvals, inner, d, degree).tobytes() == want.tobytes()
+        got = _horner_coeffs(fvals / _column_factorials(1, k)[:, None], inner, d, degree)
+        assert got.tobytes() == want.tobytes()
 
 
 # --- an elementwise stage over a linear inner -------------------------------------
@@ -383,5 +390,6 @@ def test_tower_of_an_elementwise_stage_over_an_affine_base_is_the_kernel():
             for name in ("sin", "tanh", "exp"):
                 p = Compose(Elementwise(get_primitive(name), d), Affine(a, b))
                 fvals = _prim_derivatives(p.outer.fn, base[:, 0], k, "")
-                want = _unpack(_horner(fvals, base, d, 1), d, k)
+                coeffs = fvals / _column_factorials(1, k)[:, None]
+                want = _unpack(_horner_coeffs(coeffs, base, d, 1), d, k)
                 assert _bits(derivative_tower(p, v, k).tower) == _bits(want)

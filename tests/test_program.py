@@ -101,6 +101,19 @@ class TestDerivativeTower:
             t = derivative_tower(p, v, 2)
             assert np.max(np.abs(t.value - evaluate(p, v))) < 1e-14
 
+    def test_value_is_evaluate_bit_for_bit(self):
+        # layers and bilinear products included: a tower's value is the node's value rule
+        rng = np.random.default_rng(13)
+        for d in (1, 2, 3):
+            for k in range(4):
+                for _ in range(6):
+                    for p in (random_program(rng, d, int(rng.integers(1, 4)), 3),
+                              random_bilinear_product(rng, d)):
+                        v = rng.uniform(-0.8, 0.8, size=d)
+                        want = evaluate(p, v)
+                        got = derivative_tower(p, v, k).value
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_towers_are_symmetric(self):
         rng = np.random.default_rng(11)
         for _ in range(15):

@@ -26,8 +26,8 @@ from tensorjet import (
     jet,
     primitive_library,
 )
-from tensorjet.multitensor import _monomials, _pack
-from tensorjet.program import Primitive, _apply_prim, _horner, _prim_derivatives, _sin_seq
+from tensorjet.multitensor import _column_factorials, _monomials, _pack
+from tensorjet.program import Primitive, _apply_prim, _horner_coeffs, _prim_derivatives, _sin_seq
 
 U = 2.0**-53  # unit roundoff of float64
 
@@ -71,7 +71,7 @@ def _stagewise(base_packed, names, d_in, k, degree):
     packed, fvals = base_packed, []
     for name in names:
         fvals.append(_prim_derivatives(get_primitive(name), packed[:, 0], k, ""))
-        packed = _horner(fvals[-1], packed, d_in, degree)
+        packed = _horner_coeffs(fvals[-1] / _column_factorials(1, k)[:, None], packed, d_in, degree)
         degree = k
     return packed, fvals
 
