@@ -9,12 +9,15 @@ tower once, in series scaling.
 ``compose_towers`` combines the derivative towers of two programs into the
 tower of their composition by polynomial substitution in the truncated
 polynomial ring, one packed entry per multi-index, so the result is exactly
-symmetric.  The DAG walk calls it for a ``Compose`` node whose outer stage is
-not elementwise.  ``reverse_chain`` walks each stage's packed tower once,
-first to last, at the value of the tower before it (a tower's value is
-``evaluate``'s, bit for bit), then folds them from the last stage by the
-same substitution, with no dense tower in between; ``compose_towers`` is its
-last junction, with the first stage's tower, and yields the dense result.
+symmetric.  It reads both towers packed and returns its result packed; a
+``DerivativeTower`` builds either form once, when first asked.  The DAG walk
+calls it on its own packed towers for a ``Compose`` node whose outer stage
+is not elementwise, so that node converts nothing.  ``reverse_chain`` walks
+each stage's packed tower once, first to last, at the value of the tower
+before it (a tower's value is ``evaluate``'s, bit for bit), then folds them
+from the last stage by the same substitution, with no dense tower in
+between; ``compose_towers`` is its last junction, with the first stage's
+tower, and the result is expanded to dense once.
 ``forward_chain`` builds no stage tower: it pushes one packed series in
 dim_in variables, the pipeline's running truncated Taylor polynomial,
 through the stages by the walk's jet rules and expands it once.  Both
@@ -39,7 +42,6 @@ from .multitensor import (
     MultiTensor,
     Shape,
     _nest_plan,
-    _pack,
     _substitute,
     _unpack,
     eval_polynomial,
@@ -128,25 +130,26 @@ def compose_towers(outer: DerivativeTower, inner: DerivativeTower) -> Derivative
     ``outer`` must have been expanded at the value of ``inner`` (to a relative
     ``_BASE_TOL``) and both towers must share the truncation order.  Both are
     read packed, one entry per slot orbit (every :func:`derivative_tower` is
-    exactly symmetric), and substituted: the sum over multi-indices alpha of
-    d^alpha outer / alpha! * delta^alpha, delta the inner tower less its value.
-    The result's value is the outer tower's.
+    exactly symmetric; a tower built from dense components is packed once),
+    and substituted: the sum over multi-indices alpha of d^alpha outer /
+    alpha! * delta^alpha, delta the inner tower less its value.  The result's
+    value is the outer tower's; it is held packed, and its dense form is
+    built on the first read of ``tower``, ``value`` or ``component``.
     """
     if outer.order != inner.order:
         raise ValueError(
             f"tower orders differ: outer {outer.order}, inner {inner.order}"
         )
-    k, d_in = inner.order, inner.tower.dim_in
-    mid = inner.value
+    k, g = inner.order, inner._packed()
+    mid = g[:, 0]
     scale_ref = max(1.0, float(np.abs(mid).max()))
     if outer.at.shape != mid.shape or np.abs(outer.at - mid).max() > _BASE_TOL * scale_ref:
         raise ValueError(
             "base point mismatch: outer tower expanded at "
             f"{outer.at}, inner evaluates to {mid}"
         )
-    packed = _substitute(_pack(outer.tower.components, outer.tower.dim_in),
-                         _pack(inner.tower.components, d_in), d_in, k)
-    return DerivativeTower(at=inner.at, tower=_unpack(packed, d_in, k))
+    return DerivativeTower._from_packed(
+        inner.at, _substitute(outer._packed(), g, inner.at.size, k), k)
 
 
 def forward_chain(programs, v0, order: int) -> DerivativeTower:
@@ -181,8 +184,8 @@ def reverse_chain(programs, v0, order: int) -> DerivativeTower:
     tower before it, then folds the towers backwards, each substituted into
     the running suffix tower at the base point it was walked at.  The last
     junction, with the first stage's tower at ``v0``, is
-    :func:`compose_towers`, which returns the dense tower.  Agrees with
-    :func:`forward_chain`.
+    :func:`compose_towers` on the packed towers; its result is expanded to
+    dense once, before it is returned.  Agrees with :func:`forward_chain`.
     """
     programs = list(programs)
     _check_chain(programs)
@@ -190,14 +193,14 @@ def reverse_chain(programs, v0, order: int) -> DerivativeTower:
     towers = [_walk(programs[0], v0, order)]
     for stage in programs[1:]:
         towers.append(_walk(stage, towers[-1][:, 0].copy(), order))
-    first = DerivativeTower(at=v0, tower=_unpack(towers[0], programs[0].dim_in, order))
-    if len(towers) == 1:
-        return first
-    acc = towers[-1]
-    for stage, inner in zip(programs[-2:0:-1], towers[-2:0:-1]):
-        acc = _substitute(acc, inner, stage.dim_in, order)
-    outer = DerivativeTower(at=towers[0][:, 0], tower=_unpack(acc, programs[1].dim_in, order))
-    return compose_towers(outer, first)
+    out = DerivativeTower._from_packed(v0, towers[0], order)
+    if len(towers) > 1:
+        acc = towers[-1]
+        for stage, inner in zip(programs[-2:0:-1], towers[-2:0:-1]):
+            acc = _substitute(acc, inner, stage.dim_in, order)
+        out = compose_towers(DerivativeTower._from_packed(towers[0][:, 0], acc, order), out)
+    out.tower  # the dense form is built here, as every entry point returns it
+    return out
 
 
 def _check_chain(programs):

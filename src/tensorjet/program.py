@@ -19,9 +19,12 @@ once, as the derivative d^alpha for each multi-index alpha of degree <=
 order (the truncated polynomial ring; Neidinger, Math. Comp. 74, 2005), so
 every tower is exactly symmetric by construction.  ``derivative_tower``
 unpacks the root's tower to dense components once, at the end; product,
-polynomial-layer and extracted-derivative nodes, and compositions whose
-outer stage is not elementwise, apply the dense operators of
-``multitensor`` and ``operators`` and convert at their boundary.
+polynomial-layer and extracted-derivative nodes apply the dense operators of
+``multitensor`` and ``operators`` and convert at their boundary.  A
+``DerivativeTower`` holds either form and builds the other once, when first
+asked, so a composition whose outer stage is not elementwise hands its
+children's packed towers to ``operators.compose_towers`` and takes back the
+packed result, converting nothing.
 
 A jet pushes a truncated Taylor series through the DAG instead (Griewank,
 Utke & Walther, Math. Comp. 69, 2000; Bettencourt, Johnson & Duvenaud,
@@ -297,21 +300,55 @@ class ExtractedDerivative(Program):
         super().__init__(inner.dim_in, inner.dim_out * inner.dim_in**k, (inner,))
 
 
-@dataclass(frozen=True)
 class DerivativeTower:
-    """Value plus derivative tensors of a program at one point."""
+    """Value plus derivative tensors of a program at one point.
 
-    at: np.ndarray
-    tower: MultiTensor
+    ``at`` is a read-only copy of the point, of shape ``(tower.dim_in,)``, and
+    ``tower`` the dense components.  The walk hands towers on in packed form
+    (see ``multitensor._pack``) through ``_from_packed``; such a tower builds
+    its dense form on the first read of ``tower``, ``value`` or
+    ``component``, and a dense-built tower its packed form on the first call
+    of ``_packed``, so each form is converted at most once.  Immutable.
+    """
 
-    def __post_init__(self):
-        at = np.array(self.at, dtype=np.float64)
+    __slots__ = ("_at", "_order", "_dense", "_entries")
+
+    def __init__(self, at, tower: MultiTensor):
+        at = np.array(at, dtype=np.float64)
+        if at.shape != (tower.dim_in,):
+            raise ShapeMismatchError(
+                f"tower point has shape {at.shape}, its tower takes ({tower.dim_in},)"
+            )
         at.flags.writeable = False
-        object.__setattr__(self, "at", at)
+        self._at, self._order, self._dense, self._entries = at, tower.order, tower, None
+
+    @classmethod
+    def _from_packed(cls, at, packed: np.ndarray, order: int) -> DerivativeTower:
+        """The tower at ``at`` whose packed entries to ``order`` are ``packed``."""
+        self = cls.__new__(cls)
+        self._at, self._order, self._dense, self._entries = np.array(at, float), order, None, packed
+        self._at.flags.writeable = False
+        return self
+
+    @property
+    def at(self) -> np.ndarray:
+        return self._at
 
     @property
     def order(self) -> int:
-        return self.tower.order
+        return self._order
+
+    @property
+    def tower(self) -> MultiTensor:
+        if self._dense is None:
+            self._dense = _unpack(self._entries, self._at.size, self._order)
+        return self._dense
+
+    def _packed(self) -> np.ndarray:
+        """The packed entries: one per multi-index, ``(dim_out, C(dim_in+order, order))``."""
+        if self._entries is None:
+            self._entries = _pack(self._dense.components, self._at.size)
+        return self._entries
 
     @property
     def value(self) -> np.ndarray:
@@ -319,6 +356,9 @@ class DerivativeTower:
 
     def component(self, j: int) -> np.ndarray:
         return self.tower.component(j)
+
+    def __repr__(self):
+        return f"DerivativeTower(at={self._at!r}, tower={self.tower!r})"
 
 
 def evaluate(program: Program, v) -> np.ndarray:
@@ -813,8 +853,9 @@ def _extracted_value(p, v, k, path):
 # univariate function, so their truncated series compose in a balanced tree
 # and one truncated Horner applies the composite to the base's packed tower,
 # in closed form over an identity or affine base of one input.
-# Product, polynomial-layer and extracted-derivative nodes, and compositions
-# with any other outer node, apply their dense operators and convert at their
+# A composition with any other outer node substitutes the packed towers
+# (``operators.compose_towers``).  Product, polynomial-layer and
+# extracted-derivative nodes apply their dense operators and convert at their
 # boundary.
 
 def _identity_tower(p, v, k, path):
@@ -897,10 +938,8 @@ def _compose_tower(p, v, k, path):
     from .operators import compose_towers
 
     outer = yield p.outer, mid, k, path + "/compose.outer"
-    return _pack(compose_towers(
-        DerivativeTower(at=mid, tower=_unpack(outer, p.outer.dim_in, k)),
-        DerivativeTower(at=v, tower=_unpack(inner, p.dim_in, k)),
-    ).tower.components, p.dim_in)
+    return compose_towers(DerivativeTower._from_packed(mid, outer, k),
+                          DerivativeTower._from_packed(v, inner, k))._packed()
 
 
 def _compose_run(p, v, k, path):
@@ -1034,10 +1073,10 @@ def _extracted_tower(p, v, k, path):
             f"{k + p.k}, component j has j + 1 axes, and numpy arrays have at most 64)"
         )
     deep = yield p.inner, v, k + p.k, path + "/deriv.inner"
-    deep = DerivativeTower(at=v, tower=_unpack(deep, p.dim_in, k + p.k))
+    deep = DerivativeTower._from_packed(v, deep, k + p.k)
     for _ in range(p.k):
         deep = order_reduce(deep)
-    return _pack(deep.tower.components, p.dim_in)
+    return deep._packed()
 
 
 # --- jets ------------------------------------------------------------------------

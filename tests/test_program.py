@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from tensorjet import (
     Compose,
     Constant,
     ContractionLayer,
+    DerivativeTower,
     DomainEvalError,
     Elementwise,
     ExtractedDerivative,
@@ -19,17 +21,20 @@ from tensorjet import (
     ProgramSignature,
     Shape,
     Sum,
+    compose_towers,
     derivative_tower,
     evaluate,
     get_primitive,
     integer_power,
     jet,
     primitive_library,
+    reverse_chain,
     structurally_equal,
     tensor_network,
     truncate,
 )
-from tensorjet.multitensor import ShapeMismatchError
+from tensorjet import multitensor
+from tensorjet.multitensor import ShapeMismatchError, _pack, _unpack
 from tensorjet.multitensor import algebra_product, symmetrize
 
 from _gen import (
@@ -174,6 +179,148 @@ class TestDerivativeTower:
             )
             for x, y in zip(got.components, want.components):
                 assert np.max(np.abs(x - y)) < 1e-12
+
+
+def _bits(tower):
+    return [(c.shape, c.tobytes()) for c in tower.components]
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Calls of ``_pack`` and ``_unpack``, counted in every ``tensorjet`` module that binds them."""
+    counts = dict.fromkeys(("_pack", "_unpack"), 0)
+    modules = [m for n, m in list(sys.modules.items())
+               if (n == "tensorjet" or n.startswith("tensorjet.")) and m is not None]
+    for name in counts:
+        orig = getattr(multitensor, name)
+
+        def counting(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, counting)
+    return counts
+
+
+class TestTowerForms:
+    """A tower is dense-built or packed-built; each form is converted at most once."""
+
+    def test_dense_built_tower_keeps_its_components(self):
+        rng = np.random.default_rng(71)
+        tower = random_multitensor(rng, 2, 3, 2)
+        point = [0.1, -0.2, 0.3]
+        for t in (DerivativeTower(point, tower), DerivativeTower(at=point, tower=tower)):
+            assert t.tower is tower and t.order == 2
+            assert t.value is tower.value
+            assert all(t.component(j) is tower.component(j) for j in range(3))
+            assert t.at.tolist() == point and not t.at.flags.writeable
+        source = np.array(point)
+        t = DerivativeTower(source, tower)
+        source[0] = 9.0
+        assert t.at[0] == 0.1
+
+    def test_packed_built_tower_unpacks_once(self, conversions):
+        rng = np.random.default_rng(72)
+        d, k = 2, 3
+        packed = _pack(symmetrize(random_multitensor(rng, 3, d, k)).components, d)
+        t = DerivativeTower._from_packed(np.array([0.2, 0.4]), packed, k)
+        assert t.order == k and t.at.tolist() == [0.2, 0.4] and not t.at.flags.writeable
+        assert conversions["_unpack"] == 0
+        first = t.tower
+        assert t.tower is first and conversions["_unpack"] == 1
+        assert _bits(first) == _bits(_unpack(packed, d, k))
+        assert t.value is first.value and t.component(2) is first.component(2)
+        assert t._packed() is packed and conversions["_pack"] == 0
+
+    def test_attributes_are_read_only(self):
+        tower = MultiTensor(Shape(1, 1, 1), [[0.5], [[2.0]]])
+        for t in (DerivativeTower([0.0], tower),
+                  DerivativeTower._from_packed([0.0], np.array([[0.5, 2.0]]), 1)):
+            for name, value in (("at", np.ones(1)), ("tower", tower), ("order", 2)):
+                with pytest.raises(AttributeError):
+                    setattr(t, name, value)
+
+    def test_point_must_fit_the_tower(self):
+        tower = random_multitensor(np.random.default_rng(73), 2, 2, 1)
+        for at in ([0.1, 0.2, 0.3], [[0.1, 0.2]], 0.1):
+            with pytest.raises(ShapeMismatchError) as err:
+                DerivativeTower(at, tower)
+            assert str(np.shape(at)) in str(err.value) and "(2,)" in str(err.value)
+
+    def test_compose_towers_gives_the_same_bits_for_either_form(self):
+        rng = np.random.default_rng(74)
+        for d in (1, 2, 3):
+            for k in range(5):
+                for _ in range(4):
+                    mid = int(rng.integers(1, 4))
+                    g = random_program(rng, d, mid, 2)
+                    f = random_program(rng, mid, int(rng.integers(1, 4)), 2)
+                    v = rng.uniform(-0.6, 0.6, size=d)
+                    forms = []
+                    for t in (derivative_tower(f, evaluate(g, v), k), derivative_tower(g, v, k)):
+                        packed = _pack(t.tower.components, t.at.size)
+                        forms.append((DerivativeTower(t.at, t.tower),
+                                      DerivativeTower._from_packed(t.at, packed, k)))
+                    (fd, fp), (gd, gp) = forms
+                    want = _bits(compose_towers(fd, gd).tower)
+                    for outer, inner in ((fp, gp), (fd, gp), (fp, gd)):
+                        assert _bits(compose_towers(outer, inner).tower) == want
+
+    def test_compose_towers_errors_keep_their_text(self):
+        one = MultiTensor(Shape(1, 1, 2), [[1.0], [[0.0]], [[[0.0]]]])
+        zero = MultiTensor(Shape(1, 1, 2), [[0.0], [[1.0]], [[[0.0]]]])
+        outer = DerivativeTower([1.0], one)
+        inner = DerivativeTower([0.0], zero)
+        for f, g in ((outer, inner),
+                     (DerivativeTower._from_packed([1.0], _pack(one.components, 1), 2),
+                      DerivativeTower._from_packed([0.0], _pack(zero.components, 1), 2))):
+            with pytest.raises(ValueError) as err:
+                compose_towers(f, g)
+            assert str(err.value) == (
+                "base point mismatch: outer tower expanded at [1.], inner evaluates to [0.]")
+        shallow = DerivativeTower([0.0], truncate(zero, 1))
+        with pytest.raises(ValueError) as err:
+            compose_towers(shallow, inner)
+        assert str(err.value) == "tower orders differ: outer 1, inner 2"
+
+
+class TestPackedDenseBoundary:
+    """The walk converts between packed and dense towers only where a rule needs dense."""
+
+    def test_tensor_network_packs_once_per_layer_and_unpacks_once(self, conversions):
+        rng = np.random.default_rng(75)
+        tanh = get_primitive("tanh")
+        for d in (2, 3, 4):
+            net = tensor_network([(random_multitensor(rng, d, d, 2), tanh) for _ in range(3)])
+            for k in (2, 3, 4):
+                conversions.update(_pack=0, _unpack=0)
+                derivative_tower(net, rng.uniform(-0.5, 0.5, size=d), k).tower
+                assert conversions == {"_pack": 3, "_unpack": 1}
+
+    def test_reverse_chain_unpacks_once(self, conversions):
+        sin, tanh = get_primitive("sin"), get_primitive("tanh")
+        stages = [Compose(Elementwise(sin, 2), Affine([[0.7, -0.2], [0.3, 0.5]], [0.1, -0.1])),
+                  Affine([[0.4, 0.1], [-0.2, 0.6], [0.3, 0.3]], [0.0, 0.2, -0.1]),
+                  Elementwise(tanh, 3),
+                  Compose(Elementwise(sin, 1), Affine([[0.5, -0.4, 0.2]], [0.1]))]
+        for length in (3, 4):
+            for k in (1, 3):
+                conversions.update(_pack=0, _unpack=0)
+                reverse_chain(stages[:length], [0.3, 0.1], k).tower
+                assert conversions == {"_pack": 0, "_unpack": 1}
+
+    def test_product_and_extracted_derivative_convert_at_their_boundary(self, conversions):
+        sin = get_primitive("sin")
+        inner = Compose(Elementwise(sin, 2), Affine([[0.7, -0.2], [0.3, 0.5]], [0.1, -0.1]))
+        for p, want in ((Product((inner, Affine([[0.2, 0.1], [0.5, -0.3]], [0.0, 0.1]))),
+                         {"_pack": 1, "_unpack": 3}),
+                        (ExtractedDerivative(inner, 1), {"_pack": 1, "_unpack": 2})):
+            conversions.update(_pack=0, _unpack=0)
+            derivative_tower(p, [0.3, 0.1], 3).tower
+            assert conversions == want
 
 
 class TestBilinearProduct:
