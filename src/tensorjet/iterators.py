@@ -13,8 +13,13 @@ and the rate of change of the iterate with respect to the iteration count is
 
 ``schroeder`` solves for the series coefficients of h degree by degree from
 the program's Taylor expansion at the fixed point, inverts it by series
-reversion, and packages everything as :class:`SchroederData`.  Everything is
-truncated at a caller-chosen order, so results carry the usual
+reversion, and packages everything as :class:`SchroederData`.  Both series
+keep a table of powers (of the local map, of the inverse) and fill one new
+column per degree with one small matrix-vector product, after Brent & Kung
+(1978) and Knuth, TAOCP vol. 2, 4.7; a deeper order leaves every lower
+coefficient bitwise unchanged.  A coefficient that overflows is a
+``ValueError`` naming its series and degree, never a silent NaN.
+Everything is truncated at a caller-chosen order, so results carry the usual
 O(|v - v_f|^{order+1}) series error; a root-test radius estimate triggers a
 warning (not an error) when the query point looks out of range.
 """
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multitensor import _mul
 from .operators import taylor_series
 from .program import Program, derivative_tower, evaluate
 
@@ -90,26 +94,35 @@ def find_fixed_point(program: Program, seed: float) -> float:
 
 
 def schroeder(program: Program, fixed_point: float, order: int) -> SchroederData:
-    """Solve the eigen equation h(p(v)) = lam*h(v) as a series at the fixed point."""
+    """Solve the eigen equation h(p(v)) = lam*h(v) as a series at the fixed point.
+
+    A coefficient that overflows, in the program's Taylor series, in h or in
+    h_inv, raises a ``ValueError`` naming the series and its first
+    non-finite degree; numpy's overflow warnings on the way are silenced.
+    """
     _require_scalar(program)
     if order < 1:
         raise ValueError("order must be >= 1")
-    series = taylor_series(program, [fixed_point], order)
-    coeffs = [float(series.tower.component(j).ravel()[0]) for j in range(order + 1)]
-    if abs(coeffs[0] - fixed_point) > 1e-10 * max(1.0, abs(fixed_point)):
-        raise ValueError(
-            f"{fixed_point!r} is not a fixed point: p maps it to {coeffs[0]!r}"
-        )
-    lam = coeffs[1]
-    if abs(lam) < _LAM_TOL or abs(abs(lam) - 1.0) < _LAM_TOL:
-        raise HyperbolicityError(
-            f"multiplier {lam!r} must have modulus neither 0 nor 1"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = taylor_series(program, [fixed_point], order)
+        coeffs = [float(series.tower.component(j).ravel()[0]) for j in range(order + 1)]
+        _require_finite("Taylor", coeffs)
+        if abs(coeffs[0] - fixed_point) > 1e-10 * max(1.0, abs(fixed_point)):
+            raise ValueError(
+                f"{fixed_point!r} is not a fixed point: p maps it to {coeffs[0]!r}"
+            )
+        lam = coeffs[1]
+        if abs(lam) < _LAM_TOL or abs(abs(lam) - 1.0) < _LAM_TOL:
+            raise HyperbolicityError(
+                f"multiplier {lam!r} must have modulus neither 0 nor 1"
+            )
 
-    # local map P(u) = p(v_f + u) - v_f, no constant term
-    local = [0.0] + coeffs[1:]
-    h = _solve_eigen_series(local, lam, order)
-    h_inv = _revert_series(h, order)
+        # local map P(u) = p(v_f + u) - v_f, no constant term
+        local = [0.0] + coeffs[1:]
+        h = _solve_eigen_series(local, lam, order)
+        _require_finite("h", h)
+        h_inv = _revert_series(h, order)
+        _require_finite("h_inv", h_inv)
     return SchroederData(
         fixed_point=float(fixed_point),
         lam=lam,
@@ -173,16 +186,25 @@ def _warn_if_outside(data: SchroederData, u: float):
 
 
 def _solve_eigen_series(local: list[float], lam: float, order: int) -> list[float]:
-    """Coefficients of h with h(P(u)) = lam*h(u), h'(0) = 1, degree by degree."""
-    # powers[j] = coefficients of P(u)^j truncated at the working order
+    """Coefficients of h with h(P(u)) = lam*h(u), h'(0) = 1, degree by degree.
+
+    Row j of ``powers`` holds the coefficients of P(u)^j.  P has no constant
+    term, so [P^j]_m needs row j-1 only below degree m: at degree m one
+    matrix-vector product of rows 0..m-1 with P's coefficients, reversed,
+    gives column m of rows 1..m.  Its shape depends only on m, so a deeper
+    order leaves the lower coefficients bitwise unchanged.
+    """
+    powers = np.zeros((order + 1, order + 1))
+    powers[0, 0] = 1.0
     series = np.array(local)
-    powers = [np.array([1.0] + [0.0] * order)]
-    for _ in range(order):
-        powers.append(_mul(powers[-1], series, 1, order))
-    powers = np.array(powers).tolist()
     h = [0.0, 1.0] + [0.0] * (order - 1)
-    for m in range(2, order + 1):
-        rhs = sum(h[j] * powers[j][m] for j in range(1, m))
+    for m in range(1, order + 1):
+        column = powers[0:m, :m] @ series[m:0:-1]
+        powers[1:m + 1, m] = column
+        if m == 1:
+            continue
+        column = column.tolist()  # column[j - 1] = [P^j]_m
+        rhs = sum(h[j] * column[j - 1] for j in range(1, m))
         denom = lam - lam**m
         if abs(denom) < 1e-14:
             raise ResonanceError(f"resonant denominator at series degree {m}")
@@ -191,19 +213,35 @@ def _solve_eigen_series(local: list[float], lam: float, order: int) -> list[floa
 
 
 def _revert_series(h: list[float], order: int) -> list[float]:
-    """Series g with h(g(w)) = w + O(w^{order+1}); assumes h = u + higher terms."""
-    # Row j holds the coefficients of g^j (row 1 is g itself).  [g^j]_m only
-    # involves the finished coefficients g_1..g_{m-1}, so at degree m one
-    # product of g with rows 1..m-1 gives column m of rows 2..m.
+    """Series g with h(g(w)) = w + O(w^{order+1}); assumes h = u + higher terms.
+
+    Row j of ``powers`` holds the coefficients of g^j (row 1 is g itself).
+    [g^j]_m only involves the finished coefficients g_1..g_{m-1}, so at
+    degree m one matrix-vector product of rows 1..m-1 with g gives column m
+    of rows 2..m, and g_m = -sum_j h_j [g^j]_m is one dot product.  Both
+    shapes depend only on m, so a deeper order leaves g_1..g_m bitwise
+    unchanged.
+    """
     powers = np.zeros((order + 1, order + 1))
     powers[1, 1] = 1.0
+    h = np.array(h)
     for m in range(2, order + 1):
-        powers[2:m + 1, m] = _mul(powers[1, :m + 1], powers[1:m, :m + 1], 1, m)[:, m]
-        total = 0.0
-        for j in range(2, m + 1):
-            total += h[j] * float(powers[j, m])
-        powers[1, m] = -total
+        column = powers[1:m, m - 1:0:-1] @ powers[1, 1:m]
+        powers[2:m + 1, m] = column
+        powers[1, m] = -(h[2:m + 1] @ column)
     return powers[1].tolist()
+
+
+class _NonFiniteSeriesError(ValueError):
+    """A coefficient of a Schroeder computation's series overflowed."""
+
+
+def _require_finite(name: str, coeffs: list[float]):
+    for m, c in enumerate(coeffs):
+        if not math.isfinite(c):
+            raise _NonFiniteSeriesError(
+                f"{name} series coefficient of degree {m} is not finite: {c!r}"
+            )
 
 
 def _polyval(coeffs, u: float) -> float:

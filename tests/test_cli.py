@@ -186,6 +186,16 @@ class TestIterate:
         assert out == f"iterate: {value:.17g}\nvelocity: {velocity:.17g}\n"
         assert err == f"tensorjet: warning: {seen[0].message}\n"
 
+    def test_overflowing_schroeder_series_is_a_numeric_failure(self, capsys, tmp_path):
+        """The error names the series and degree; no radius or numpy warning precedes it."""
+        f = tmp_path / "steep.sexp"
+        f.write_text('(layer {"dim_out":1,"dim_in":1,"order":2,'
+                     '"components":[[0.0],[[0.5]],[[[1e20]]]]})')
+        code, out, err = run_cli(capsys, "iterate", "--program", str(f), "--seed", "0",
+                                 "--x", "0.5", "--at", "1e-30", "--order", "24")
+        assert code == 2 and out == ""
+        assert err == "tensorjet: h series coefficient of degree 17 is not finite: inf\n"
+
     def test_no_fixed_point_is_a_numeric_failure(self, capsys, tmp_path):
         f = tmp_path / "shift.sexp"
         f.write_text("(affine [[1.0]] [1.0])")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tensorjet import (
     MultiTensor,
     SchroederData,
     Shape,
+    Sum,
     convergence_radius,
     evaluate,
     find_fixed_point,
@@ -247,36 +249,171 @@ def _random_series(rng, order):
     return h
 
 
+EPS = 2.0**-52
+# Worst measured |got - exact| / (eps * M_m) over these cases: reversion 4.21
+# when each degree took a packed-series product, 2.65 with one matrix-vector
+# and one dot product per degree; eigen series 1.41 and 1.37.
+ORACLE_C = 8
+
+
+def _exact_reversion(h, order, absolute=False):
+    """The reversion recurrence in exact arithmetic on the float coefficients of h.
+
+    With ``absolute`` it runs on |h_j| and adds where the recurrence subtracts:
+    M_m, the scale of the rounding error in the degree-m coefficient.  Scaling
+    u by t = 2^s turns h_j into the integer h_j t^(j-1) and g_m into
+    g_m t^(m-1) without changing the recurrence, so it runs on Python ints.
+    """
+    h = [abs(Fraction(c)) if absolute else Fraction(c) for c in h]
+    s = max([-(-_twos(c) // (j - 1)) for j, c in enumerate(h) if j >= 2], default=0)
+    h = [int(c * 2 ** (s * (j - 1))) if j >= 1 else 0 for j, c in enumerate(h)]
+    g = [0, 1] + [0] * (order - 1)
+    powers = [[0] * (order + 1) for _ in range(order + 1)]  # [g^j]_m, scaled
+    powers[1][1] = 1
+    for m in range(2, order + 1):
+        for j in range(2, m + 1):
+            powers[j][m] = sum(powers[j - 1][k] * g[m - k] for k in range(j - 1, m))
+        total = sum(h[j] * powers[j][m] for j in range(2, m + 1))
+        g[m] = powers[1][m] = total if absolute else -total
+    return [Fraction(c, 2 ** (s * (m - 1))) if m else Fraction(0) for m, c in enumerate(g)]
+
+
+def _exact_eigen_series(local, lam, order, absolute=False):
+    """The eigen-series recurrence in exact arithmetic; ``absolute`` as above.
+
+    The powers of P run on integers, P's coefficients times 2^e.
+    """
+    local = [abs(Fraction(c)) if absolute else Fraction(c) for c in local]
+    e = max(_twos(c) for c in local)
+    ints = [int(c * 2**e) for c in local]
+    lam = Fraction(lam)
+    powers = [[0] * (order + 1) for _ in range(order + 1)]  # [P^j]_m times 2^(e j)
+    powers[0][0] = 1
+    h = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
+    for m in range(1, order + 1):
+        for j in range(1, m + 1):
+            powers[j][m] = sum(powers[j - 1][k] * ints[m - k] for k in range(j - 1, m))
+        if m >= 2:
+            denom = lam - lam**m
+            rhs = sum(h[j] * Fraction(powers[j][m], 2 ** (e * j)) for j in range(1, m))
+            h[m] = rhs / (abs(denom) if absolute else denom)
+    return h
+
+
+def _twos(c):
+    """log2 of the denominator of a dyadic Fraction: c * 2^e is an integer."""
+    return c.denominator.bit_length() - 1
+
+
+def _within_rounding_bound(got, exact, scale):
+    for c, want, size in zip(got, exact, scale):
+        assert type(c) is float
+        assert abs(Fraction(c) - want) <= ORACLE_C * EPS * size, (c, float(want), float(size))
+
+
 class TestReversion:
-    def test_matches_fresh_powers_bit_for_bit(self):
+    def test_within_rounding_bound_of_the_exact_recurrences(self):
+        """Both series solvers against Fraction arithmetic on their own inputs.
+
+        Each coefficient lies within ORACLE_C * eps * M_m of the exact one, M_m
+        being the recurrence on absolute values.  Zero coefficients keep the
+        signs of the reversion that rebuilds every power afresh.
+        """
         rng = np.random.default_rng(5)
         for order in range(1, 31):
             cases = [_random_series(rng, order) for _ in range(6)]
             for lam in (-0.6, 0.3):  # eigen series of a random local map
                 local = [0.0, lam] + [float(c) for c in rng.normal(size=order - 1) / 2]
-                cases.append(_solve_eigen_series(local, lam, order))
+                h = _solve_eigen_series(local, lam, order)
+                _within_rounding_bound(
+                    h,
+                    _exact_eigen_series(local, lam, order),
+                    _exact_eigen_series(local, lam, order, absolute=True),
+                )
+                cases.append(h)
             for h in cases:
-                want = _revert_by_fresh_powers(h, order)
                 got = _revert_series(h, order)
-                assert all(math.isfinite(c) for c in want)
-                assert all(type(c) is float for c in got)
-                assert [c.hex() for c in got] == [c.hex() for c in want]
+                _within_rounding_bound(
+                    got, _exact_reversion(h, order), _exact_reversion(h, order, absolute=True)
+                )
+                want = _revert_by_fresh_powers(h, order)
+                assert [c.hex() for c in got if c == 0.0] == [
+                    w.hex() for c, w in zip(got, want) if c == 0.0
+                ]
 
-    def test_one_series_product_per_degree(self, monkeypatch):
+    def test_no_packed_series_products(self, monkeypatch):
         import tensorjet.iterators as iterators_module
+        import tensorjet.multitensor as multitensor_module
 
-        calls = []
+        def refuse(*args, **kwargs):
+            raise AssertionError("multitensor._mul called")
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return _packed_mul(*args, **kwargs)
-
-        monkeypatch.setattr(iterators_module, "_mul", counting)
+        monkeypatch.setattr(multitensor_module, "_mul", refuse)
+        assert not hasattr(iterators_module, "_mul")
         rng = np.random.default_rng(6)
         for order in (1, 2, 7, 24):
-            calls.clear()
-            _revert_series(_random_series(rng, order), order)
-            assert len(calls) == order - 1
+            local = [0.0, 0.4] + [float(c) for c in rng.normal(size=order - 1) / 2]
+            h = _solve_eigen_series(local, 0.4, order)
+            g = _revert_series(h, order)
+            assert len(h) == len(g) == order + 1 and g[:2] == [0.0, 1.0]
+        data = schroeder(QUAD, 0.0, 12)
+        assert len(data.h_inv_coeffs) == 13
+
+
+SIN_SUM = Sum([Affine([[0.2]], [0.05]), Elementwise(get_primitive("sin"))])
+
+
+def _hex(coeffs):
+    return [c.hex() for c in coeffs]
+
+
+class TestDeeperOrder:
+    def test_lower_coefficients_keep_their_bits(self):
+        """Asking for a deeper Schroeder series never moves a lower coefficient."""
+        top = 40
+        rng = np.random.default_rng(8)
+        for lam in (-0.6, 0.45, 1.7):
+            local = [0.0, lam] + [float(c) for c in rng.normal(size=top - 1) / 2]
+            h_top = _solve_eigen_series(local, lam, top)
+            g_top = _revert_series(h_top, top)
+            for order in range(1, top):
+                h = _solve_eigen_series(local[:order + 1], lam, order)
+                assert _hex(h) == _hex(h_top[:order + 1])
+                assert _hex(_revert_series(h, order)) == _hex(g_top[:order + 1])
+        for program, seed in ((QUAD, 0.1), (SIN_SUM, -0.2)):
+            fp = find_fixed_point(program, seed)
+            deepest = schroeder(program, fp, top)
+            for order in range(1, top):
+                data = schroeder(program, fp, order)
+                assert _hex(data.h_coeffs) == _hex(deepest.h_coeffs[:order + 1])
+                assert _hex(data.h_inv_coeffs) == _hex(deepest.h_inv_coeffs[:order + 1])
+
+
+class TestNonFiniteSeries:
+    """An overflowing series is an error naming it, not a silent NaN downstream."""
+
+    STEEP = scalar_poly(0.0, 0.5, 1e20)  # v/2 + 1e20 v^2
+
+    def test_overflowing_eigen_series_names_h_and_its_degree(self):
+        with np.errstate(all="raise"):  # no numpy warning escapes either
+            with pytest.raises(ValueError, match=r"^h series coefficient of degree 17 "):
+                schroeder(self.STEEP, 0.0, 24)
+
+    def test_overflowing_inverse_names_h_inv_and_its_degree(self):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=r"^h_inv series coefficient of degree 16 "):
+                schroeder(self.STEEP, 0.0, 16)
+            assert all(map(math.isfinite, schroeder(self.STEEP, 0.0, 15).h_inv_coeffs))
+
+    def test_overflowing_taylor_series_names_it_and_its_degree(self):
+        c = 2.0**40  # p(v) = (1/2 - c) v - 1 + exp(c v): fixed point 0, multiplier 1/2
+        steep_exp = Sum([
+            Affine([[0.5 - c]], [-1.0]),
+            Compose(Elementwise(get_primitive("exp")), Affine([[c]], [0.0])),
+        ])
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=r"^Taylor series coefficient of degree 26 "):
+                schroeder(steep_exp, 0.0, 30)
 
 
 def _mul(a, b, order):
