@@ -192,7 +192,11 @@ def _solve_eigen_series(local: list[float], lam: float, order: int) -> list[floa
     term, so [P^j]_m needs row j-1 only below degree m: at degree m one
     matrix-vector product of rows 0..m-1 with P's coefficients, reversed,
     gives column m of rows 1..m.  Its shape depends only on m, so a deeper
-    order leaves the lower coefficients bitwise unchanged.
+    order leaves the lower coefficients bitwise unchanged.  Where lam^m
+    overflows, the denominator is its signed infinity and h_m = rhs / denom:
+    +-0 for a finite rhs, NaN (a non-finite h for the caller) otherwise.
+    Terms with h_j = 0 are left out of rhs; adding +-0 never moves a sum
+    that starts at 0, and 0 * inf would be NaN.
     """
     powers = np.zeros((order + 1, order + 1))
     powers[0, 0] = 1.0
@@ -204,8 +208,13 @@ def _solve_eigen_series(local: list[float], lam: float, order: int) -> list[floa
         if m == 1:
             continue
         column = column.tolist()  # column[j - 1] = [P^j]_m
-        rhs = sum(h[j] * column[j - 1] for j in range(1, m))
-        denom = lam - lam**m
+        # a zero h_j adds nothing, also where [P^j]_m overflowed to inf
+        rhs = sum(h[j] * column[j - 1] for j in range(1, m) if h[j])
+        try:
+            power = lam**m
+        except OverflowError:  # |lam|^m is above the float range: its signed infinity
+            power = math.copysign(math.inf, lam) if m % 2 else math.inf
+        denom = lam - power
         if abs(denom) < 1e-14:
             raise ResonanceError(f"resonant denominator at series degree {m}")
         h[m] = rhs / denom

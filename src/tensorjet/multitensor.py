@@ -165,7 +165,7 @@ def contract_once(w: MultiTensor, v) -> MultiTensor:
     if w.order == 0:
         return w
     new_shape = Shape(w.dim_out, w.dim_in, w.order - 1)
-    comps = [np.tensordot(w.components[j], v, axes=([-1], [0])) for j in range(1, w.order + 1)]
+    comps = [_contract_last(w.components[j], v) for j in range(1, w.order + 1)]
     comps[0] = comps[0] + w.components[0]
     return MultiTensor(new_shape, comps)
 
@@ -177,7 +177,7 @@ def eval_polynomial(w: MultiTensor, v) -> np.ndarray:
     for j in range(1, w.order + 1):
         term = w.components[j]
         for _ in range(j):
-            term = np.tensordot(term, v, axes=([-1], [0]))
+            term = _contract_last(term, v)
         out += term
     return out
 
@@ -225,7 +225,7 @@ def algebra_product(
             if p + q > out_order:
                 continue
             comps[p + q] += _pair_product(a.components[p], b.components[q], bilinear)
-    return MultiTensor(shape, comps)
+    return MultiTensor._owning(shape, comps)
 
 
 def symmetrize(w: MultiTensor) -> MultiTensor:
@@ -236,7 +236,7 @@ def symmetrize(w: MultiTensor) -> MultiTensor:
     exactly symmetric and symmetrizing it again is a bitwise no-op.  The
     result differs from the j!-permutation average by rounding only.
     """
-    return MultiTensor(w.shape, [_symmetrize_component(c) for c in w.components])
+    return MultiTensor._owning(w.shape, [_symmetrize_component(c) for c in w.components])
 
 
 def truncate(w: MultiTensor, new_order: int) -> MultiTensor:
@@ -295,29 +295,44 @@ def _as_vector(v, dim: int, what: str) -> np.ndarray:
     return v
 
 
+def _contract_last(term: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``term`` with its last slot contracted with the vector ``v``.
+
+    This is the one BLAS call ``np.tensordot(term, v, axes=([-1], [0]))``
+    makes, a ``(N, d) @ (d, 1)`` product, without its argument handling;
+    the shapes are kept because a ``(d,)`` vector may take another BLAS path
+    and round otherwise.
+    """
+    d = v.shape[0]
+    return np.dot(term.reshape(-1, d), v.reshape(d, 1)).reshape(term.shape[:-1])
+
+
 def _symmetrize_component(comp: np.ndarray) -> np.ndarray:
     """Symmetrize one component over its tensor slots by orbit sums.
 
     The entries whose slot indices are permutations of one another form an
     orbit, represented by the sorted index tuple.  Each orbit's entries are
-    summed (in C order) and divided by the orbit size, and every entry takes
-    its orbit's mean, so the output is exactly symmetric.  It equals the
-    average over all j! slot permutations up to rounding.  An input that is
-    already exactly symmetric comes back as a bitwise copy, so a second pass
-    is a bitwise no-op.  The result is always a new array.
+    summed (in C order, from +0.0) and divided by the orbit size, and every
+    entry takes its orbit's mean, so the output is exactly symmetric.  It
+    equals the average over all j! slot permutations up to rounding.  One
+    ``bincount`` serves every output row: row i's orbit ids are offset by
+    i times the orbit count, and ``bincount`` adds in input order, so each
+    orbit still sums in C order.  An input that is already exactly symmetric
+    comes back as a bitwise copy, so a second pass is a bitwise no-op.  The
+    result is always a new array.
     """
     j = comp.ndim - 1
     if j < 2:
         return comp.copy()
     rep, orbit, sizes, _ = _orbit_index(comp.shape[1], j)
     flat = comp.reshape(comp.shape[0], -1)
-    if np.array_equal(flat, flat[:, rep]):
+    if np.array_equal(flat, flat.take(rep, axis=1)):
         return comp.copy()
-    means = np.empty((flat.shape[0], sizes.size))
-    for i, row in enumerate(flat):
-        means[i] = np.bincount(orbit, weights=row, minlength=sizes.size)
+    rows, n = flat.shape[0], sizes.size
+    ids = orbit + np.arange(0, rows * n, n)[:, None]
+    means = np.bincount(ids.ravel(), weights=flat.ravel(), minlength=rows * n).reshape(rows, n)
     means /= sizes
-    return means[:, orbit].reshape(comp.shape)
+    return means.take(orbit, axis=1).reshape(comp.shape)
 
 
 @lru_cache(maxsize=None)
@@ -342,9 +357,8 @@ def _orbit_index(dim_in: int, j: int) -> tuple[np.ndarray, ...]:
 
 def _pair_product(ap: np.ndarray, bq: np.ndarray, bilinear: np.ndarray | None) -> np.ndarray:
     if bilinear is None:
-        d = ap.shape[0]
-        flat = np.einsum("ix,iy->ixy", ap.reshape(d, -1), bq.reshape(d, -1))
-        return flat.reshape(ap.shape + bq.shape[1:])
+        d = ap.shape[0]  # one product per entry; the caller adds it into zeros
+        return (ap.reshape(d, -1, 1) * bq.reshape(d, 1, -1)).reshape(ap.shape + bq.shape[1:])
     t = np.tensordot(bilinear, ap, axes=([1], [0]))  # (d, b_out, p slots)
     return np.tensordot(t, bq, axes=([1], [0]))  # (d, p slots, q slots)
 
@@ -359,6 +373,9 @@ def _pair_product(ap: np.ndarray, bq: np.ndarray, bilinear: np.ndarray | None) -
 # polynomial ring in d variables, i.e. the truncated symmetric tensor
 # algebra, with each orbit stored once (Neidinger, Math. Comp. 74, 2005).
 # The order of degrees up to K is a prefix of the order up to K + 1.
+# Kernels gather with ``ndarray.take`` along one axis, a plain copy loop;
+# fancy indexing (``x[:, ia]``, ``h[..., ib]``, above all on strided views)
+# takes numpy's general advanced-index path for the same values.
 
 
 def _pack(components, dim_in: int, series: bool = False) -> np.ndarray:
@@ -370,7 +387,8 @@ def _pack(components, dim_in: int, series: bool = False) -> np.ndarray:
     """
     d_out = components[0].shape[0]
     packed = np.concatenate(
-        [c.reshape(d_out, -1)[:, _orbit_index(dim_in, j)[3]] for j, c in enumerate(components)],
+        [c.reshape(d_out, -1).take(_orbit_index(dim_in, j)[3], axis=1)
+         for j, c in enumerate(components)],
         axis=1,
     )
     return packed * _column_factorials(dim_in, len(components) - 1) if series else packed
@@ -500,7 +518,7 @@ def _build_pair_table(dim_in: int, order: int, degree: int):
 
 def _times(s: np.ndarray, h: np.ndarray, ib: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Truncated products s * h on the last axis: ``s`` holds ``weight * s[a]`` per pair."""
-    terms = h[..., ib]
+    terms = h.take(ib, axis=-1)
     terms *= s
     return np.add.reduceat(terms, heads, axis=-1)  # callers turn -0 sums into +0 at the end
 
@@ -516,7 +534,7 @@ def _mul(a: np.ndarray, b: np.ndarray, dim_in: int, order: int) -> np.ndarray:
     """
     ia, ib, _, heads, cuts = _pair_table(dim_in, order, order)
     pairs, targets = cuts[order]
-    s = a[..., ia[:pairs]]
+    s = a.take(ia[:pairs], axis=-1)
     out = a[..., :1] * b
     out[..., 1:] += _times(s, b, ib[:pairs], heads[:targets])
     out += 0.0  # a sum of -0 terms is +0, as in a sum that starts at +0
@@ -550,7 +568,8 @@ def _substitute(f: np.ndarray, g: np.ndarray, dim_in: int, order: int,
         plan, factorials = _nest_plan(d, degree)
         coeffs = f[:, :starts[-1]] / factorials
         ia, weight, steps = _horner_steps(dim_in, order, order)
-        s = g[:, ia] if series else g[:, ia] * weight  # delta = g - g0: no pair reads g0
+        # delta = g - g0: no pair reads g0
+        s = g.take(ia, axis=1) if series else g.take(ia, axis=1) * weight
         var, first = plan[-1]
         p = coeffs[:, starts[degree]:, None] * g[var, :sizes[order - degree + 2]]
         for j in range(degree - 1, -1, -1):

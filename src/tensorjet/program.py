@@ -85,6 +85,7 @@ from .multitensor import (
     ShapeMismatchError,
     _column_factorials,
     _component,
+    _contract_last,
     _horner_steps,
     _mul,
     _pack,
@@ -893,12 +894,12 @@ def _layer_tower(p, v, k, path):
         term = sym.components[j]
         top = min(j, k)
         for _ in range(j - top):
-            term = np.tensordot(term, v, axes=([-1], [0]))
+            term = _contract_last(term, v)
         for r in range(top, 0, -1):
             # term == sym_j contracted with v in its last j - r slots
             comps[r] = comps[r] + math.perm(j, r) * term
             if r > 1:
-                term = np.tensordot(term, v, axes=([-1], [0]))
+                term = _contract_last(term, v)
     low = _pack(comps, w.dim_in)  # the components above the layer's order are zero
     out[:, 1:low.shape[1]] = low[:, 1:]
     return out
@@ -1010,7 +1011,7 @@ def _horner_coeffs(coeffs: np.ndarray, inner: np.ndarray, dim_in: int, degree: i
     h[:, 0] = coeffs[k if degree else 0]  # a constant g (degree 0) is all its value
     if degree:
         ia, weight, steps = _horner_steps(dim_in, k, degree)
-        s = inner[:, ia] if series else inner[:, ia] * weight
+        s = inner.take(ia, axis=1) if series else inner.take(ia, axis=1) * weight
         for r, (ib, heads) in zip(range(k - 1, -1, -1), steps):
             h[:, 1:heads.size + 1] = _times(s[:, :ib.size], h, ib, heads)  # reads h first
             h[:, 0] = coeffs[r]

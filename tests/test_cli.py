@@ -186,6 +186,15 @@ class TestIterate:
         assert out == f"iterate: {value:.17g}\nvelocity: {velocity:.17g}\n"
         assert err == f"tensorjet: warning: {seen[0].message}\n"
 
+    def test_multiplier_whose_powers_overflow_iterates(self, capsys, tmp_path):
+        """|lam|^m overflows from degree 16 on, yet the linear map's series is exact."""
+        f = tmp_path / "big.sexp"
+        f.write_text("(affine [[1e20]] [0.0])")
+        code, out, err = run_cli(capsys, "iterate", "--program", str(f), "--seed", "0",
+                                 "--x", "0.5", "--at", "0.1", "--order", "24")
+        assert code == 0 and err == ""
+        assert out == f"iterate: {1e20**0.5 * 0.1:.17g}\nvelocity: {math.log(1e20) * 0.1:.17g}\n"
+
     def test_overflowing_schroeder_series_is_a_numeric_failure(self, capsys, tmp_path):
         """The error names the series and degree; no radius or numpy warning precedes it."""
         f = tmp_path / "steep.sexp"

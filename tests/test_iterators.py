@@ -415,6 +415,23 @@ class TestNonFiniteSeries:
             with pytest.raises(ValueError, match=r"^Taylor series coefficient of degree 26 "):
                 schroeder(steep_exp, 0.0, 30)
 
+    def test_multiplier_whose_powers_overflow_gives_the_exact_linear_series(self):
+        # |lam|^m passes the float range at m = 16; h = u is exact for a linear map
+        for lam in (1e20, -1e20):
+            with np.errstate(all="raise"):
+                data = schroeder(Affine([[lam]], [0.0]), 0.0, 24)
+            assert data.h_coeffs == (0.0, 1.0) + (0.0,) * 23
+            assert data.h_inv_coeffs == (0.0, 1.0) + (0.0,) * 23
+        assert fractional_iterate(schroeder(Affine([[1e20]], [0.0]), 0.0, 24), 0.5, 0.1) \
+            == 1e20**0.5 * 0.1
+
+    def test_negative_overflowing_multiplier_takes_integer_orders(self):
+        data = schroeder(Affine([[-1e20]], [0.0]), 0.0, 24)
+        assert fractional_iterate(data, 2, 0.1) == 0.1 * (-1e20) ** 2
+        assert fractional_iterate(data, 3.0, 0.1) == 0.1 * (-1e20) ** 3
+        with pytest.raises(HyperbolicityError):
+            fractional_iterate(data, 0.5, 0.1)
+
 
 def _mul(a, b, order):
     out = [0.0] * (order + 1)

@@ -23,7 +23,17 @@ from tensorjet.multitensor import (
     truncate,
     zero,
 )
-from tensorjet.multitensor import _symmetrize_component
+from tensorjet.multitensor import (
+    _contract_last,
+    _horner_steps,
+    _mul,
+    _orbit_index,
+    _pack,
+    _pair_product,
+    _pair_table,
+    _symmetrize_component,
+    _times,
+)
 
 from _gen import random_multitensor
 
@@ -401,3 +411,220 @@ class TestGeneratedProperties:
         twice = symmetrize(once)
         for a, b in zip(once.components, twice.components):
             assert np.array_equal(a, b)
+
+
+# --- the kernels keep the bits of the formulations they replaced ---------------
+#
+# Test-local copies of the old forms: ``np.tensordot`` for one contraction,
+# fancy-index gathers (``h[..., ib]``, ``x[:, ia]``), a ``bincount`` per output
+# row, and ``np.einsum`` for the componentwise pair product.
+
+_SPECIALS = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.7e308, -1.7e308,
+                      5e-324, -2.2e-308, 1e-300])
+
+
+def _with_specials(rng, shape, share=0.2):
+    """Normal entries, a ``share`` of them replaced by signed zeros, NaN, inf and extremes."""
+    out = rng.standard_normal(shape)
+    hit = rng.random(shape) < share
+    out[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
+    return out
+
+
+def _kernel_cases(seed):
+    """``(d_out, d_in, j, component)`` for d_in 1-6, j 0-5, d_out 1-4."""
+    rng = np.random.default_rng(seed)
+    for d_in in range(1, 7):
+        for j in range(6):
+            for d_out in range(1, 5):
+                if d_in**j * d_out > 8000:
+                    continue  # keeps the run short; d_in 6 still reaches j 4
+                yield d_out, d_in, j, _with_specials(rng, (d_out,) + (d_in,) * j)
+
+
+def _old_contract(term, v):
+    return np.tensordot(term, v, axes=([-1], [0]))
+
+
+def _old_symmetrize_component(comp):
+    j = comp.ndim - 1
+    if j < 2:
+        return comp.copy()
+    rep, orbit, sizes, _ = _orbit_index(comp.shape[1], j)
+    flat = comp.reshape(comp.shape[0], -1)
+    if np.array_equal(flat, flat[:, rep]):
+        return comp.copy()
+    means = np.empty((flat.shape[0], sizes.size))
+    for i, row in enumerate(flat):
+        means[i] = np.bincount(orbit, weights=row, minlength=sizes.size)
+    means /= sizes
+    return means[:, orbit].reshape(comp.shape)
+
+
+def _old_times(s, h, ib, heads):
+    terms = h[..., ib]
+    terms *= s
+    return np.add.reduceat(terms, heads, axis=-1)
+
+
+def _old_mul(a, b, dim_in, order):
+    ia, ib, _, heads, cuts = _pair_table(dim_in, order, order)
+    pairs, targets = cuts[order]
+    s = a[..., ia[:pairs]]
+    out = a[..., :1] * b
+    out[..., 1:] += _old_times(s, b, ib[:pairs], heads[:targets])
+    out += 0.0
+    return out
+
+
+def _old_pack(components, dim_in):
+    d_out = components[0].shape[0]
+    return np.concatenate(
+        [c.reshape(d_out, -1)[:, _orbit_index(dim_in, j)[3]] for j, c in enumerate(components)],
+        axis=1,
+    )
+
+
+def _old_componentwise_product(a, b, max_order):
+    order = min(max_order, a.order + b.order)
+    comps = [np.zeros(a.shape.component_shape(n)) for n in range(order + 1)]
+    d = a.dim_out
+    for p in range(a.order + 1):
+        for q in range(b.order + 1):
+            if p + q <= order:
+                ap, bq = a.components[p], b.components[q]
+                flat = np.einsum("ix,iy->ixy", ap.reshape(d, -1), bq.reshape(d, -1))
+                comps[p + q] += flat.reshape(ap.shape + bq.shape[1:])
+    return comps
+
+
+def _same_bits(new, old):
+    return new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and overflow are meant
+class TestKernelBits:
+    def test_contraction_is_tensordots_bits(self):
+        rng = np.random.default_rng(40)
+        for d_out, d_in, j, comp in _kernel_cases(41):
+            if j == 0:
+                continue
+            for v in (rng.standard_normal(d_in), _with_specials(rng, d_in, 0.5)):
+                assert _same_bits(_contract_last(comp, v), _old_contract(comp, v))
+                if d_out > 1:  # a strided view, as a row range of a larger array
+                    view = comp[1::2]
+                    assert _same_bits(_contract_last(view, v), _old_contract(view, v))
+
+    def test_polynomial_and_contract_once_keep_their_bits(self):
+        rng = np.random.default_rng(42)
+        for d_in in range(1, 7):
+            for order in range(4):
+                for d_out in range(1, 5):
+                    comps = [_with_specials(rng, (d_out,) + (d_in,) * j, 0.05)
+                             for j in range(order + 1)]
+                    w = MultiTensor(Shape(d_out, d_in, order), comps)
+                    v = rng.standard_normal(d_in)
+                    old = comps[0].copy()
+                    for j in range(1, order + 1):
+                        term = comps[j]
+                        for _ in range(j):
+                            term = _old_contract(term, v)
+                        old += term
+                    assert _same_bits(eval_polynomial(w, v), old)
+                    once = contract_once(w, v)
+                    for j in range(1, order + 1):
+                        want = _old_contract(comps[j], v) + (comps[0] if j == 1 else 0)
+                        assert _same_bits(once.components[j - 1], want)
+
+    def test_symmetrize_component_is_the_per_row_loop(self):
+        for d_out, d_in, j, comp in _kernel_cases(43):
+            assert _same_bits(_symmetrize_component(comp), _old_symmetrize_component(comp))
+            if d_out > 1:
+                view = comp[::-1]  # negative row stride
+                assert _same_bits(_symmetrize_component(view), _old_symmetrize_component(view))
+
+    def test_times_is_the_fancy_gather(self):
+        rng = np.random.default_rng(44)
+        for d_in in range(1, 7):
+            for order in range(1, 6 if d_in < 5 else 4):
+                ia, weight, steps = _horner_steps(d_in, order, order)
+                for d_out in (1, 3):
+                    g = _with_specials(rng, (d_out, ia.max() + 1), 0.05)
+                    s = g[:, ia] * weight
+                    for ib, heads in steps:
+                        h = _with_specials(rng, (d_out, 5, ib.max() + 3), 0.05)
+                        for view in (h, h[:, 1:4], h[:, ::2, 1:]):  # as _substitute passes h
+                            rows = g[rng.integers(0, d_out, view.shape[1])][:, ia[:ib.size]]
+                            assert _same_bits(_times(rows, view, ib, heads),
+                                              _old_times(rows, view, ib, heads))
+                        flat = h[:, 0]
+                        assert _same_bits(_times(s[:, :ib.size], flat, ib, heads),
+                                          _old_times(s[:, :ib.size], flat, ib, heads))
+
+    def test_mul_and_its_gathers_are_the_fancy_gathers(self):
+        rng = np.random.default_rng(45)
+        for d_in in range(1, 7):
+            for order in range(1, 6 if d_in < 5 else 4):
+                width = math.comb(d_in + order, order)
+                for d_out in (1, 2, 4):
+                    a = _with_specials(rng, (d_out, width), 0.05)
+                    b = _with_specials(rng, (d_out, 3, width), 0.05)
+                    assert _same_bits(_mul(a[:, None], b, d_in, order),
+                                      _old_mul(a[:, None], b, d_in, order))
+                    assert _same_bits(_mul(a, b[:, 1], d_in, order),
+                                      _old_mul(a, b[:, 1], d_in, order))
+                    # the x[:, ia] gathers of _substitute and _horner_coeffs
+                    ia, weight, _ = _horner_steps(d_in, order, order)
+                    s = a.take(ia, axis=1)
+                    assert _same_bits(s, a[:, ia])
+                    s *= weight
+                    assert _same_bits(s, a[:, ia] * weight)
+
+    def test_pack_is_the_fancy_gather(self):
+        rng = np.random.default_rng(46)
+        for d_in in range(1, 7):
+            for order in range(6 if d_in < 5 else 4):
+                for d_out in range(1, 5):
+                    comps = [_with_specials(rng, (d_out,) + (d_in,) * j, 0.2)
+                             for j in range(order + 1)]
+                    assert _same_bits(_pack(comps, d_in), _old_pack(comps, d_in))
+
+    def test_componentwise_product_is_einsums_bits(self):
+        rng = np.random.default_rng(47)
+        for d_in in range(1, 7):
+            for order_a, order_b in ((0, 3), (1, 1), (2, 2), (3, 1)):
+                for d_out in range(1, 5):
+                    a, b = (MultiTensor(Shape(d_out, d_in, k), [
+                        _with_specials(rng, (d_out,) + (d_in,) * j, 0.2) for j in range(k + 1)])
+                        for k in (order_a, order_b))
+                    for max_order in (2, 4):
+                        new = algebra_product(a, b, max_order=max_order)
+                        old = _old_componentwise_product(a, b, max_order)
+                        assert len(new.components) == len(old)
+                        for x, y in zip(new.components, old):
+                            assert _same_bits(x, y)
+
+    def test_pair_product_differs_from_einsum_only_by_its_plus_zero(self):
+        # einsum writes 0 + a*b, so a -0 product is +0 there; algebra_product
+        # adds every pair into zeros, which is the same +0.
+        rng = np.random.default_rng(48)
+        for d_out, d_in, j, comp in _kernel_cases(49):
+            other = _with_specials(rng, (d_out,) + (d_in,) * min(j, 2), 0.3)
+            old = np.einsum("ix,iy->ixy", comp.reshape(d_out, -1), other.reshape(d_out, -1))
+            new = _pair_product(comp, other, None)
+            assert _same_bits(new + 0.0, old.reshape(new.shape))
+
+    def test_results_are_fresh_read_only_arrays(self):
+        rng = np.random.default_rng(50)
+        for d_in in (1, 2, 3):
+            for order in (0, 1, 3):
+                w = random_multitensor(rng, 2, d_in, order)
+                sym = symmetrize(w)
+                prod = algebra_product(w, sym, max_order=order + 1)
+                for out, sources in ((sym, w.components), (prod, w.components + sym.components)):
+                    for comp in out.components:
+                        assert not comp.flags.writeable
+                        assert not any(np.shares_memory(comp, x) for x in sources)
+                again = symmetrize(sym)  # exactly symmetric input: a bitwise copy
+                for x, y in zip(again.components, sym.components):
+                    assert _same_bits(x, y) and not np.shares_memory(x, y)
