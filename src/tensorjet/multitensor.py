@@ -532,11 +532,11 @@ def _mul(a: np.ndarray, b: np.ndarray, dim_in: int, order: int) -> np.ndarray:
     at every order, so a deeper product leaves the lower entries bitwise
     unchanged.
     """
-    ia, ib, _, heads, cuts = _pair_table(dim_in, order, order)
-    pairs, targets = cuts[order]
-    s = a.take(ia[:pairs], axis=-1)
     out = a[..., :1] * b
-    out[..., 1:] += _times(s, b, ib[:pairs], heads[:targets])
+    if order:
+        ia, ib, _, heads, cuts = _pair_table(dim_in, order, order)
+        pairs, targets = cuts[order]
+        out[..., 1:] += _times(a.take(ia[:pairs], axis=-1), b, ib[:pairs], heads[:targets])
     out += 0.0  # a sum of -0 terms is +0, as in a sum that starts at +0
     return out
 

@@ -48,7 +48,7 @@ from .multitensor import (
     truncate,
 )
 from .multitensor import _symmetrize_component  # noqa: F401  a site of bench/spans.py REQUIRED_SITES
-from .program import DerivativeTower, Program, _tower_input, _walk
+from .program import DerivativeTower, Program, _linear_series, _tower_input, _walk
 from .program import derivative_tower  # noqa: F401  a site of bench/spans.py REQUIRED_SITES
 
 _BASE_TOL = 1e-9  # relative tolerance on the base point shared by composed towers
@@ -158,23 +158,18 @@ def forward_chain(programs, v0, order: int) -> DerivativeTower:
     ``programs[0]`` runs first.  One packed series in dim_in variables, the
     identity at ``v0`` in series scaling, is pushed through each stage by
     the jet rules of the DAG walk: the running series is the prefix's
-    truncated Taylor polynomial.  Its coefficients are scaled by alpha! and
-    unpacked to a dense tower once, at the end.
+    truncated Taylor polynomial, and its column 0 the prefix's value, with
+    the bits of :func:`reverse_chain`'s.  Its coefficients are scaled by
+    alpha! and unpacked to a dense tower once, at the end.
     """
     programs = list(programs)
     _check_chain(programs)
     v0 = _tower_input(programs[0], v0, order)
     d = v0.size
-    n, k = (d, order) if order else (1, 1)  # order 0 walks two columns, as ``jet`` does
-    series = np.zeros((d, math.comb(n + k, k)))
-    series[:, 0] = v0
-    if order:
-        series[:, 1:d + 1] = np.eye(d)
+    series = _linear_series(v0, np.eye(d), d, order)
     for stage in programs:
-        series = _walk(stage, series, (n, k))
-    width = math.comb(d + order, order)
-    return DerivativeTower(at=v0, tower=_unpack(
-        series[:, :width] * _nest_plan(d, order)[1], d, order))
+        series = _walk(stage, series, (d, order))
+    return DerivativeTower(at=v0, tower=_unpack(series * _nest_plan(d, order)[1], d, order))
 
 
 def reverse_chain(programs, v0, order: int) -> DerivativeTower:

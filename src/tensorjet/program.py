@@ -45,14 +45,14 @@ degree 1, to find a linear input, but the bits it gets either way are
 those of truncated Horner wherever they are finite.
 
 So every node type has three local rules: its value, its derivative tower,
-and its jet.  A tower rule takes its value from the value rule's arithmetic,
-so a tower's value is what ``evaluate`` returns, bit for bit.  Where a rule
-only adds or passes results on, the value rule serves the other requests
-too: identity's serves jets, sum's towers and jets.  A composition passes
-jets on stage by stage.  The value of a run of elementwise stages, and the
-derivatives of its stages, are one pass in floats from its base up; a lone
-elementwise node takes the same pass, with one table of kernels for the
-built-in primitives.
+and its jet.  Column 0 of every tower and jet is the value rule's
+arithmetic, so it is what ``evaluate`` returns, bit for bit, and an order-0
+tower or jet is a walk of that one column.  Where a rule only adds or passes
+results on, the value rule serves the other requests too: identity's serves
+jets, sum's towers and jets.  A composition passes jets on stage by stage.
+The value of a run of elementwise stages, and the derivatives of its stages,
+are one pass in floats from its base up; a lone elementwise node takes the
+same pass, with one table of kernels for the built-in primitives.
 
 Each node type is one slotted class whose constructor checks its arguments,
 sets the node's ``signature`` and ``children`` and adds one to each child's
@@ -359,7 +359,10 @@ class DerivativeTower:
         return self.tower.component(j)
 
     def __repr__(self):
-        return f"DerivativeTower(at={self._at!r}, tower={self.tower!r})"
+        # from either form: a dense build would cost dim_out * dim_in**order floats
+        dim_out = len(self._entries) if self._dense is None else self._dense.dim_out
+        return (f"DerivativeTower(at={self._at!r}, tower=MultiTensor(dim_out={dim_out}, "
+                f"dim_in={self._at.size}, order={self._order}))")
 
 
 def evaluate(program: Program, v) -> np.ndarray:
@@ -409,7 +412,7 @@ def _input(program: Program, v) -> np.ndarray:
         raise ShapeMismatchError(
             f"input must have shape ({program.dim_in},), got {v.shape}"
         )
-    return v
+    return np.ascontiguousarray(v)  # a BLAS product's bits can depend on the stride
 
 
 def jet(program: Program, series) -> np.ndarray:
@@ -417,15 +420,14 @@ def jet(program: Program, series) -> np.ndarray:
 
     ``series`` has shape ``(dim_in, K+1)``; column j holds the t^j
     coefficients of the input curve x(t).  The result has shape
-    ``(dim_out, K+1)`` with column j the t^j coefficients of the output.
+    ``(dim_out, K+1)`` with column j the t^j coefficients of the output;
+    column 0 is ``evaluate(program, series[:, 0])``, bit for bit.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2 or series.shape[0] != program.dim_in or series.shape[1] < 1:
         raise ShapeMismatchError(
             f"input series must have shape ({program.dim_in}, K+1), got {series.shape}"
         )
-    if series.shape[1] == 1:  # see the note on jets below
-        return _walk(program, np.hstack([series, np.zeros_like(series)]), (1, 1))[:, :1]
     return _walk(program, series, (1, series.shape[1] - 1))
 
 
@@ -847,38 +849,39 @@ def _extracted_value(p, v, k, path):
 # A tower rule returns the node's tower packed (see ``multitensor._pack``):
 # one ``(dim_out, C(dim_in+k, k))`` array of derivatives, one per
 # multi-index in graded order, so every tower is exactly symmetric by
-# construction.  Identity, constant, affine, elementwise and sum nodes build
-# or add packed arrays directly.  A run of elementwise stages, each a
-# ``Compose`` over the next, is one local rule over its base, the first node
-# below it that is not such a stage: the stages act on each coordinate as one
-# univariate function, so their truncated series compose in a balanced tree
-# and one truncated Horner applies the composite to the base's packed tower,
-# in closed form over an identity or affine base of one input.
+# construction.  Identity, constant and affine nodes build theirs with
+# ``_linear_series``, elementwise and sum nodes directly.  A run of
+# elementwise stages, each a ``Compose`` over the next, is one local rule over
+# its base, the first node below it that is not such a stage: the stages act
+# on each coordinate as one univariate function, so their truncated series
+# compose in a balanced tree and one truncated Horner applies the composite to
+# the base's packed tower, in closed form over an identity or affine base of
+# one input.
 # A composition with any other outer node substitutes the packed towers
 # (``operators.compose_towers``).  Product, polynomial-layer and
 # extracted-derivative nodes apply their dense operators and convert at their
 # boundary.
 
-def _identity_tower(p, v, k, path):
-    out = np.zeros((p.dim, math.comb(p.dim + k, k)))
-    out[:, 0] = v
-    if k >= 1:
-        out[:, 1:p.dim + 1] = np.eye(p.dim)
+def _linear_series(value, slope, n: int, k: int) -> np.ndarray:
+    """Packed series in n variables to degree k of a linear map: ``value``, the
+    degree-1 block ``slope`` and zeros above, alike in tower and series scaling."""
+    out = np.zeros((len(value), math.comb(n + k, k)))
+    out[:, 0] = value
+    if k:
+        out[:, 1:n + 1] = slope
     return out
+
+
+def _identity_tower(p, v, k, path):
+    return _linear_series(v, np.eye(p.dim), p.dim, k)
 
 
 def _constant_tower(p, v, k, path):
-    out = np.zeros((p.dim_out, math.comb(p.dim_in + k, k)))
-    out[:, 0] = p.value
-    return out
+    return _linear_series(p.value, 0.0, p.dim_in, k)
 
 
 def _affine_tower(p, v, k, path):
-    out = np.zeros((p.dim_out, math.comb(p.dim_in + k, k)))
-    out[:, 0] = p.matrix @ v + p.offset
-    if k >= 1:
-        out[:, 1:p.dim_in + 1] = p.matrix
-    return out
+    return _linear_series(_affine_value(p, v, k, path), p.matrix, p.dim_in, k)
 
 
 def _layer_tower(p, v, k, path):
@@ -1091,35 +1094,35 @@ def _extracted_tower(p, v, k, path):
 # ``multitensor._mul``.  An elementwise stage over a ray, a curve with no
 # entry above degree 1, takes Horner's closed form (``_linear_coeffs``).
 # ``jet`` is n = 1, a curve; ``operators.forward_chain`` pushes the identity
-# series at a point, n = dim_in, through each stage.
-# Sums over a vector index run over a leading axis, which numpy adds in
-# index order whatever K is; a BLAS product would not, nor would numpy with
-# a single column (it sums that pairwise), so no caller walks one.
+# series at a point, n = dim_in, through each stage.  Column 0 of every
+# rule is its node's value rule, on a contiguous copy of the input's column
+# 0, as ``evaluate`` has it.  Sums over a vector index run over a leading
+# axis, which numpy adds in index order for two columns or more, not for one
+# (it sums that pairwise), so affine and layer rules sum every column and
+# then replace column 0: a deeper jet keeps the bits of the lower columns.
 
 def _constant_jet(p, x, k, path):
-    out = np.zeros((p.dim_out, x.shape[1]))
-    out[:, 0] = p.value
-    return out
+    return _linear_series(p.value, 0.0, *k)
 
 
 def _affine_jet(p, x, k, path):
     out = (p.matrix[:, :, None] * x).sum(axis=1)
-    out[:, 0] += p.offset
+    out[:, 0] = _affine_value(p, x[:, 0].copy(), k, path)
     return out
 
 
 def _layer_jet(p, x, k, path):
     # sum_j w_j . x^(x)j from the raw weights, one slot at a time, so integer
-    # weights stay exact (the layer's tower takes its value from the raw
-    # weights too, but its derivatives from symmetrized orbit means)
+    # weights stay exact (the layer's tower takes its derivatives from
+    # symmetrized orbit means)
     n, K = k
     out = np.zeros((p.dim_out, x.shape[1]))
-    out[:, 0] = p.weights.components[0]
     for w in p.weights.components[1:]:
         term = (w[..., None] * x).sum(axis=-2)  # the last slot
         for _ in range(w.ndim - 2):  # the next slot, summed over its index
             term = _mul(x, term, n, K).sum(axis=-2)
         out += term
+    out[:, 0] = _layer_value(p, x[:, 0].copy(), k, path)
     return out
 
 
@@ -1140,7 +1143,7 @@ def _elementwise_jet(p, x, k, path):
     # closed form, whose bits are Horner's.  Either way the bits are those of
     # degree K wherever they are finite, so reading above degree 1 to choose
     # moves no finite coefficient of a deeper jet.
-    degree = K if np.count_nonzero(x[:, n + 1:]) else 1
+    degree = K if np.count_nonzero(x[:, n + 1:]) else min(K, 1)
     coeffs = _prim_derivatives(p.fn, x[:, 0], K, path) / _column_factorials(1, K)[:, None]
     return _horner_coeffs(coeffs, x, n, degree, series=True)
 
@@ -1152,10 +1155,12 @@ def _product_jet(p, x, k, path):
     n, K = k
     if p.bilinear is not None:  # sum_r a_r * (sum_s B_irs b_s)
         b = (p.bilinear[..., None] * jets[1]).sum(axis=2)
-        return _mul(jets[0], b, n, K).sum(axis=1)
-    out = jets[0]
-    for other in jets[1:]:
-        out = _mul(out, other, n, K)
+        out = _mul(jets[0], b, n, K).sum(axis=1)
+    else:
+        out = jets[0]
+        for other in jets[1:]:
+            out = _mul(out, other, n, K)
+    out[:, 0] = _product_of(p, [j[:, 0].copy() for j in jets])
     return out
 
 

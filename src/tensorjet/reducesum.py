@@ -53,7 +53,7 @@ import numpy as np
 from .multitensor import _as_vector
 from .operators import series_eval, taylor_series
 # derivative_tower is unused here; bench/spans.py wraps this binding
-from .program import Program, derivative_tower, evaluate, jet
+from .program import Program, _linear_series, derivative_tower, evaluate, jet
 
 # Exact rationals: numerator/denominator pairs in lowest terms with a
 # positive denominator -- precisely what fractions.Fraction guarantees.
@@ -193,12 +193,9 @@ def _ray_coefficients(program: Program, v0, direction, order: int) -> np.ndarray
     """Coefficients c_j of t -> p(v0 + t*direction) as rows, shape (order+1, dim_out)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    series = np.zeros((program.dim_in, order + 1))
-    series[:, 0] = _as_vector(v0, program.dim_in, "v0")
+    v0 = _as_vector(v0, program.dim_in, "v0")
     direction = _as_vector(direction, program.dim_in, "direction")
-    if order >= 1:
-        series[:, 1] = direction
-    return jet(program, series).T
+    return jet(program, _linear_series(v0, direction[:, None], 1, order)).T
 
 
 def reduce_sum_apply(program: Program, v0, direction, n: int, order: int) -> np.ndarray:

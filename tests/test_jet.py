@@ -29,10 +29,18 @@ from tensorjet import (
     reduce_sum_polynomials,
     reduction_velocity,
 )
-from tensorjet.multitensor import ShapeMismatchError
+from tensorjet import multitensor
+from tensorjet.multitensor import ShapeMismatchError, _mul
+from tensorjet.operators import forward_chain, reverse_chain
 from tensorjet.program import Primitive, _sin_seq, jet
 
-from _gen import random_bilinear_product, random_multitensor, random_program, rel_gap
+from _gen import (
+    random_bilinear_product,
+    random_chain,
+    random_multitensor,
+    random_program,
+    rel_gap,
+)
 
 
 def ray_series(v, u, order):
@@ -342,3 +350,101 @@ def test_wrong_shape_input_is_a_shape_mismatch():
     for series in (np.zeros((1, 3)), np.zeros((2, 0)), np.zeros(2), np.zeros((2, 3, 1))):
         with pytest.raises(ShapeMismatchError):
             jet(p, series)
+
+
+# --- column 0 is the value rule's --------------------------------------------
+
+
+def _value_rule_programs(rng, d):
+    """A random program, a random bilinear product and an extracted derivative, all of dim_in d."""
+    return (random_program(rng, d, int(rng.integers(1, 4)), 3),
+            random_bilinear_product(rng, d),
+            ExtractedDerivative(random_program(rng, d, int(rng.integers(1, 3)), 2),
+                                int(rng.integers(1, 3))))
+
+
+def test_jet_and_forward_chain_values_are_evaluate_bit_for_bit():
+    # layers, affines and bilinear products included: every jet rule takes
+    # column 0 from its node's value rule, at every K
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3):
+        for K in range(5):
+            for _ in range(20):
+                for p in _value_rule_programs(rng, d):
+                    x = rng.uniform(-0.8, 0.8, size=(d, K + 1))
+                    want = evaluate(p, x[:, 0]).tobytes()
+                    assert jet(p, x)[:, 0].tobytes() == want
+                    assert forward_chain([p], x[:, 0], K).value.tobytes() == want
+
+
+def test_forward_chain_value_is_reverse_chain_value_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for K in range(5):
+        for _ in range(12):
+            stages = random_chain(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)),
+                                  int(rng.integers(1, 4)))
+            v = rng.uniform(-0.8, 0.8, size=stages[0].dim_in)
+            forward = forward_chain(stages, v, K).value
+            assert forward.tobytes() == reverse_chain(stages, v, K).value.tobytes()
+
+
+def _one_column_programs():
+    rng = np.random.default_rng(5)
+    layer = ContractionLayer(random_multitensor(rng, 2, 2, 3))
+    run = Affine([[0.6, -0.3], [0.2, 0.5]], [0.1, -0.2])
+    for f in ("sin", "tanh", "cos"):
+        run = Compose(Elementwise(get_primitive(f), 2), run)
+    return {
+        "layer": layer,
+        "bilinear product": random_bilinear_product(rng, 2),
+        "extracted derivative": ExtractedDerivative(Compose(layer, run), 2),
+        "run": run,
+    }
+
+
+@pytest.mark.parametrize("name", ["layer", "bilinear product", "extracted derivative", "run"])
+def test_order_zero_walks_one_column(name):
+    # an order-0 jet or chain is the one-column walk: the value rule's bits,
+    # and column 0 of every deeper walk
+    p = _one_column_programs()[name]
+    x = np.random.default_rng(6).uniform(-0.5, 0.5, size=(2, 5))
+    want = evaluate(p, x[:, 0])
+    got = jet(p, x[:, :1])
+    assert got.shape == (p.dim_out, 1) and got[:, 0].tobytes() == want.tobytes()
+    for K in range(1, 5):
+        assert jet(p, x[:, :K + 1])[:, 0].tobytes() == want.tobytes()
+    chain = forward_chain([p], x[:, 0], 0)
+    assert chain.order == 0 and chain.value.tobytes() == want.tobytes()
+
+
+def test_order_zero_product_is_the_first_entry_of_every_deeper_one(monkeypatch):
+    # from an empty cache of pair tables, as in a fresh process: the table
+    # has no order-0 part, so an order-0 product must not need one
+    monkeypatch.setattr(multitensor, "_PAIR_TABLES", {})
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        a = rng.uniform(-1.0, 1.0, size=(3, math.comb(n + 4, 4)))
+        b = rng.uniform(-1.0, 1.0, size=(3, math.comb(n + 4, 4)))
+        a[0, 0], b[0, 0] = -1.0, 0.0  # a -0 product is +0, as at every order
+        low = _mul(a[:, :1], b[:, :1], n, 0)
+        assert low.shape == (3, 1) and not np.signbit(low[0, 0])
+        for K in range(1, 5):
+            width = math.comb(n + K, K)
+            assert low.tobytes() == _mul(a[:, :width], b[:, :width], n, K)[:, :1].tobytes()
+
+
+def test_values_do_not_depend_on_the_input_layout():
+    # numpy's product of a row and a strided vector can round otherwise than
+    # with a contiguous one, so every value rule is handed a contiguous point
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(17, 80))
+        row = Affine(rng.uniform(-1.0, 1.0, size=(1, n)), [0.5])
+        wide = Affine(rng.uniform(-1.0, 1.0, size=(n, 2)), rng.uniform(-1.0, 1.0, size=n))
+        for p in (row, Compose(row, wide)):
+            x = rng.uniform(-1.0, 1.0, size=(p.dim_in, 3))
+            want = evaluate(p, x[:, 0].copy()).tobytes()
+            assert evaluate(p, x[:, 0]).tobytes() == want
+            assert jet(p, x)[:, 0].tobytes() == want
+            assert forward_chain([p], x[:, 0], 2).value.tobytes() == want
+            assert derivative_tower(p, x[:, 0], 1).value.tobytes() == want

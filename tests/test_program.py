@@ -119,6 +119,17 @@ class TestDerivativeTower:
                         got = derivative_tower(p, v, k).value
                         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def test_repr_leaves_a_packed_tower_packed(self):
+        # the text comes from the packed shape: a dense order-8 tower in 16
+        # inputs would hold 2 * 16**8 floats in component 8 alone
+        packed = DerivativeTower._from_packed(np.zeros(3), np.zeros((2, math.comb(7, 4))), 4)
+        assert repr(packed) == (f"DerivativeTower(at={packed.at!r}, "
+                                "tower=MultiTensor(dim_out=2, dim_in=3, order=4))")
+        assert packed._dense is None
+        dense = derivative_tower(Affine([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [0.0] * 3),
+                                 [0.1, 0.2], 2)
+        assert repr(DerivativeTower._from_packed(dense.at, dense._packed(), 2)) == repr(dense)
+
     def test_towers_are_symmetric(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
