@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 # Composing derivative towers: the tower of f . g is assembled from the
-# towers of f and g alone, one integer partition per term (the higher-order
-# chain rule).  Folding that combination over a pipeline from the front or
-# the back gives forward- and reverse-style accumulation with identical
-# results.
+# towers of f and g alone, by substituting g's truncated Taylor polynomial
+# into f's (the higher-order chain rule).  Folding that substitution over a
+# pipeline from the front or the back gives forward- and reverse-style
+# accumulation with identical results.
 
 import numpy as np
 
@@ -15,16 +15,8 @@ from tensorjet import (
     derivative_tower,
     forward_chain,
     get_primitive,
-    partitions,
-    partition_weight,
     reverse_chain,
 )
-
-# partitions drive the combination: each partition of n contributes one
-# contraction of an outer derivative with inner derivative factors
-for n in range(5):
-    rows = [f"{p} (weight {partition_weight(p)})" for p in partitions(n)]
-    print(f"partitions of {n}:", ", ".join(rows) if rows else "()")
 
 # scalar example where the hand formula is easy: sin(x^2)
 f = Elementwise(get_primitive("sin"))
@@ -34,7 +26,7 @@ inner = derivative_tower(g, [x], 2)
 outer = derivative_tower(f, inner.value, 2)
 combined = compose_towers(outer, inner)
 hand = np.cos(x * x) * 2 - np.sin(x * x) * (2 * x) ** 2
-print(f"\nsecond derivative of sin(x^2) at {x}:")
+print(f"second derivative of sin(x^2) at {x}:")
 print("  from towers:", combined.component(2)[0, 0, 0])
 print("  hand formula f'(g) g'' + f''(g) (g')^2:", hand)
 

@@ -55,14 +55,11 @@ from .operators import (
     differentiable_derivative,
     forward_chain,
     order_reduce,
-    partition_weight,
-    partitions,
     reverse_chain,
     series_eval,
     taylor_series,
 )
 from .reducesum import (
-    Rational,
     RationalPoly,
     ShiftOp,
     bernoulli,

@@ -292,7 +292,7 @@ def _as_vector(v, dim: int, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (dim,):
         raise ShapeMismatchError(f"{what} must have shape ({dim},), got {v.shape}")
-    return v
+    return np.ascontiguousarray(v)  # a BLAS product's bits can depend on the stride
 
 
 def _contract_last(term: np.ndarray, v: np.ndarray) -> np.ndarray:

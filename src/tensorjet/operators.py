@@ -31,10 +31,7 @@ component j of the derivative program's tower.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +42,6 @@ from .multitensor import (
     _substitute,
     _unpack,
     eval_polynomial,
-    truncate,
 )
 from .multitensor import _symmetrize_component  # noqa: F401  a site of bench/spans.py REQUIRED_SITES
 from .program import DerivativeTower, Program, _linear_series, _tower_input, _walk
@@ -91,37 +87,6 @@ def series_eval(series: TensorSeries, h: float, v) -> np.ndarray:
     """
     comps = [c * h**n for n, c in enumerate(series.tower.components)]
     return eval_polynomial(MultiTensor(series.tower.shape, comps), v)
-
-
-@lru_cache(maxsize=None)
-def partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All integer partitions of n as non-increasing tuples, descending lexicographic."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return tuple(_gen_partitions(n, n))
-
-
-def _gen_partitions(n: int, max_part: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - first, first):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def partition_weight(partition: tuple[int, ...]) -> int:
-    """Number of ways to split n ordered slots into blocks of these sizes.
-
-    Equals n! / (prod over distinct part sizes l with multiplicity m of
-    (l!)^m * m!); always an integer.
-    """
-    n = sum(partition)
-    denom = 1
-    for part, mult in Counter(partition).items():
-        denom *= math.factorial(part) ** mult * math.factorial(mult)
-    return math.factorial(n) // denom
 
 
 def compose_towers(outer: DerivativeTower, inner: DerivativeTower) -> DerivativeTower:
@@ -240,19 +205,3 @@ def differentiable_derivative(program: Program, k: int) -> Program:
 
     return ExtractedDerivative(program, k)
 
-
-def reduction_commutes(t_deep: DerivativeTower, t_shallow: DerivativeTower) -> bool:
-    """Exact check that order reduction commutes with adding a derivative order.
-
-    ``t_deep`` and ``t_shallow`` are towers of the same program at the same
-    point with ``t_deep.order == t_shallow.order + 1``.  Reducing the deeper
-    tower and truncating must equal reducing the shallower one, component by
-    component, with no tolerance.
-    """
-    if t_deep.order != t_shallow.order + 1:
-        raise ValueError("need towers at consecutive orders")
-    left = truncate(order_reduce(t_deep).tower, t_shallow.order - 1)
-    right = order_reduce(t_shallow).tower
-    return all(
-        np.array_equal(a, b) for a, b in zip(left.components, right.components)
-    )

@@ -83,6 +83,7 @@ import numpy as np
 from .multitensor import (
     MultiTensor,
     ShapeMismatchError,
+    _as_vector,
     _column_factorials,
     _component,
     _contract_last,
@@ -367,7 +368,7 @@ class DerivativeTower:
 
 def evaluate(program: Program, v) -> np.ndarray:
     """Run the program on a vector."""
-    return _walk(program, _input(program, v), None)
+    return _walk(program, _as_vector(v, program.dim_in, "input"), None)
 
 
 def derivative_tower(program: Program, v, order: int) -> DerivativeTower:
@@ -403,16 +404,7 @@ def _tower_input(program: Program, v, order: int) -> np.ndarray:
             f"order {order} is above {_MAX_DENSE_ORDER}, the largest of a dense tower "
             "(component j has j + 1 axes, and numpy arrays have at most 64)"
         )
-    return _input(program, v)
-
-
-def _input(program: Program, v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (program.dim_in,):
-        raise ShapeMismatchError(
-            f"input must have shape ({program.dim_in},), got {v.shape}"
-        )
-    return np.ascontiguousarray(v)  # a BLAS product's bits can depend on the stride
+    return _as_vector(v, program.dim_in, "input")
 
 
 def jet(program: Program, series) -> np.ndarray:

@@ -55,10 +55,6 @@ from .operators import series_eval, taylor_series
 # derivative_tower is unused here; bench/spans.py wraps this binding
 from .program import Program, _linear_series, derivative_tower, evaluate, jet
 
-# Exact rationals: numerator/denominator pairs in lowest terms with a
-# positive denominator -- precisely what fractions.Fraction guarantees.
-Rational = Fraction
-
 
 @lru_cache(maxsize=None)
 def bernoulli(i: int) -> Fraction:

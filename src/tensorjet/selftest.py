@@ -1,8 +1,9 @@
 """Built-in oracle checks behind the ``selftest`` subcommand.
 
 Each check recomputes an expected result by an independent route (literal
-loops, finite differences, term-by-term recurrences) and compares.  Prints
-one PASS/FAIL line per check; exits nonzero when anything fails.
+loops, finite differences, term-by-term recurrences, integer polynomial
+arithmetic) and compares.  Prints one PASS/FAIL line per check; exits
+nonzero when anything fails.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .operators import (
     compose_towers,
     forward_chain,
     order_reduce,
-    partitions,
     reverse_chain,
     series_eval,
     taylor_series,
@@ -36,18 +36,36 @@ from .program import (
 from .reducesum import bernoulli, brute_force_partial_sum, reduce_sum_apply, reduce_sum_closed_form
 
 
-def _check_partitions():
-    # count oracle: p(n) by the two-variable counting recurrence
-    def count(n, max_part):
-        if n == 0:
-            return 1
-        return sum(count(n - first, first) for first in range(min(n, max_part), 0, -1))
+def _check_compose_polynomials():
+    # f(y) = 1 - 2y + 3y^2 + y^3 and g(x) = 2x - x^2 + x^3: component m of the
+    # composed tower is m! times the t^m coefficient of f(g(x0 + t)), in ints
+    f_coeffs, g_coeffs, order = [1, -2, 3, 1], [0, 2, -1, 1], 6
 
-    for n in range(11):
-        got = len(partitions(n))
-        want = count(n, n)
-        assert got == want, f"partition count p({n}) = {got}, expected {want}"
-    assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    def layer(coeffs):
+        comps = [np.full((1,) * (j + 1), float(c)) for j, c in enumerate(coeffs)]
+        return ContractionLayer(MultiTensor(Shape(1, 1, len(coeffs) - 1), comps))
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    fg, power = [0] * 10, [1]  # f(g(x)) has degree 9
+    for c in f_coeffs:
+        for i, p in enumerate(power):
+            fg[i] += c * p
+        power = times(power, g_coeffs)
+    f, g = layer(f_coeffs), layer(g_coeffs)
+    for x0 in (0, 1, -2, 3):
+        g_x0 = sum(c * x0**j for j, c in enumerate(g_coeffs))
+        got = compose_towers(derivative_tower(f, [g_x0], order), derivative_tower(g, [x0], order))
+        for m in range(order + 1):
+            shifted = sum(c * math.comb(k, m) * x0 ** (k - m) for k, c in enumerate(fg[m:], m))
+            want = math.factorial(m) * shifted
+            entry = got.component(m).ravel()[0]
+            assert entry == want, f"component {m} at x0={x0}: {entry}, expected {want}"
 
 
 def _check_bernoulli():
@@ -149,7 +167,7 @@ def _check_json_round_trip():
 
 
 CHECKS = [
-    ("integer partitions vs counting recurrence", _check_partitions),
+    ("tower composition vs exact polynomial composition", _check_compose_polynomials),
     ("Bernoulli numbers vs binomial recurrence", _check_bernoulli),
     ("reduce-sum closed forms vs literal loops", _check_reduce_sum),
     ("derivative towers vs central differences", _check_towers_vs_finite_differences),
@@ -166,8 +184,10 @@ def run_selftest() -> int:
     failures = 0
     for name, check in CHECKS:
         try:
-            check()
-        except AssertionError as exc:
+            # the CLI ignores numpy's float errors; no check may pass through one
+            with np.errstate(over="raise", invalid="raise"):
+                check()
+        except (AssertionError, FloatingPointError) as exc:
             failures += 1
             print(f"FAIL  {name}: {exc}")
         else:

@@ -448,3 +448,31 @@ class TestSelftest:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 10
+
+    def test_composition_oracle_fails_on_a_wrong_top_entry(self, capsys, monkeypatch):
+        import tensorjet.selftest as selftest_module
+        from tensorjet.program import DerivativeTower
+
+        right = selftest_module.compose_towers
+
+        def wrong(outer, inner):
+            t = right(outer, inner)
+            entries = t._packed().copy()
+            entries[-1, -1] += 1.0
+            return DerivativeTower._from_packed(t.at, entries, t.order)
+
+        monkeypatch.setattr(selftest_module, "compose_towers", wrong)
+        assert selftest_module.run_selftest() == 2
+        out = capsys.readouterr().out
+        assert "FAIL  tower composition vs exact polynomial composition" in out
+
+    def test_a_check_that_overflows_fails(self, capsys, monkeypatch):
+        import tensorjet.selftest as selftest_module
+
+        def overflowing():
+            assert np.float64(1e308) * 10.0 > 0.0
+
+        monkeypatch.setattr(selftest_module, "CHECKS", [("overflowing check", overflowing)])
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 2
+        assert "FAIL  overflowing check" in out

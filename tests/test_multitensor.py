@@ -176,6 +176,18 @@ class TestPolynomialEvaluation:
                 folded = contract_once(folded, v)
             assert np.max(np.abs(eval_polynomial(w, v) - folded.value)) < 1e-12
 
+    def test_strided_and_contiguous_points_give_the_same_bytes(self):
+        # numpy's dot can take another kernel for a strided operand, and round otherwise
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            d = int(rng.integers(17, 80))
+            w = random_multitensor(rng, 1, d, 2)
+            v = rng.standard_normal((d, 3))[:, 0]
+            assert eval_polynomial(w, v).tobytes() == eval_polynomial(w, v.copy()).tobytes()
+            for a, b in zip(contract_once(w, v).components,
+                            contract_once(w, v.copy()).components):
+                assert a.tobytes() == b.tobytes()
+
 
 class TestAlgebraProduct:
     def test_scalars(self):

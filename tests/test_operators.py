@@ -23,8 +23,6 @@ from tensorjet import (
     forward_chain,
     get_primitive,
     integer_power,
-    partition_weight,
-    partitions,
     primitive_library,
     reverse_chain,
     order_reduce,
@@ -45,7 +43,6 @@ from tensorjet.multitensor import (
 )
 import tensorjet.operators as operators_module
 import tensorjet.program as program_module
-from tensorjet.operators import reduction_commutes
 from tensorjet.program import DerivativeTower, _horner_coeffs, _prim_derivatives, _tower_degree
 
 from _gen import (
@@ -62,39 +59,6 @@ from _gen import (
 
 def scalar_power(n):
     return Compose(Elementwise(integer_power(n)), Identity(1))
-
-
-class TestPartitions:
-    def test_zero_has_the_empty_partition(self):
-        assert partitions(0) == ((),)
-
-    def test_four(self):
-        assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
-
-    def test_counts_match_recurrence(self):
-        # two-variable counting recurrence, independent of the enumerator
-        def count(n, max_part):
-            if n == 0:
-                return 1
-            return sum(count(n - f, f) for f in range(min(n, max_part), 0, -1))
-
-        for n in range(12):
-            assert len(partitions(n)) == count(n, n)
-        assert len(partitions(10)) == 42
-
-    def test_descending_lexicographic_order(self):
-        for n in range(1, 9):
-            ps = partitions(n)
-            assert all(sum(p) == n for p in ps)
-            assert list(ps) == sorted(ps, reverse=True)
-
-    def test_weights_sum_to_set_partition_counts(self):
-        bell = [1, 1, 2, 5, 15, 52, 203]
-        for n in range(7):
-            assert sum(partition_weight(p) for p in partitions(n)) == bell[n]
-
-    def test_repeated_calls_identical(self):
-        assert partitions(6) is partitions(6)
 
 
 class TestTaylorSeries:
@@ -296,6 +260,25 @@ class TestDiagonalChainRule:
         assert t.components[1][0, 0] == pytest.approx(slope, rel=1e-13)
 
 
+def _partitions(n, max_part=None):
+    """Integer partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _partition_weight(lam):
+    """Ways to split sum(lam) ordered slots into blocks of these sizes."""
+    denom = 1
+    for part in set(lam):
+        mult = lam.count(part)
+        denom *= math.factorial(part) ** mult * math.factorial(mult)
+    return math.factorial(sum(lam)) // denom
+
+
 def _partition_loop(outer, inner):
     """Reference chain rule on dense towers: every integer partition's contraction.
 
@@ -308,11 +291,11 @@ def _partition_loop(outer, inner):
     comps = [f[0]]
     for n in range(1, k + 1):
         acc = np.zeros((d_out,) + (d_in,) * n)
-        for lam in partitions(n):
+        for lam in _partitions(n):
             t = f[len(lam)]
             for part in lam:
                 t = np.tensordot(t, g[part], axes=([1], [0]))
-            acc += partition_weight(lam) * t
+            acc += _partition_weight(lam) * t
         comps.append(_symmetrize_component(acc))
     return DerivativeTower(at=inner.at, tower=MultiTensor(Shape(d_out, d_in, k), comps))
 
@@ -752,9 +735,10 @@ class TestOrderReduction:
             d = int(rng.integers(1, 4))
             p = random_program(rng, d, d, 2)
             v = rng.uniform(-0.5, 0.5, size=d)
-            deep = derivative_tower(p, v, 3)
-            shallow = derivative_tower(p, v, 2)
-            assert reduction_commutes(deep, shallow)
+            reduced = truncate(order_reduce(derivative_tower(p, v, 3)).tower, 1)
+            shallow = order_reduce(derivative_tower(p, v, 2)).tower
+            for a, b in zip(reduced.components, shallow.components):
+                assert np.array_equal(a, b)
 
     def test_components_shift_bitwise(self):
         rng = np.random.default_rng(27)
