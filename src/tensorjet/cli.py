@@ -14,9 +14,10 @@ vectors as bracketed comma-separated reals, e.g. ``[0.5,1.0]``.  All floats
 are printed with 17 significant digits.  Exit codes: 0 success, 1 usage,
 parse or output error (a stdout closed before the output is written, as by
 ``| head -c 1``, included), 2 numerical/domain failure, a non-finite result
-included; a failing run prints nothing on stdout.  Diagnostics go to stderr
-only, one line per failure and one ``tensorjet: warning: <message>`` line per
-distinct warning, such as a point outside the series radius of ``iterate``.
+and running out of memory included; a failing run prints nothing on stdout.
+Diagnostics go to stderr only, one line per failure and one
+``tensorjet: warning: <message>`` line per distinct warning, such as a point
+outside the series radius of ``iterate``.
 """
 
 from __future__ import annotations
@@ -191,6 +192,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except (ValueError, ArithmeticError, FixedPointError) as exc:
         print(f"tensorjet: {exc}", file=sys.stderr)
+        return NUMERIC_ERROR
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print("tensorjet: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return NUMERIC_ERROR
     try:
         print(*lines, sep="\n")

@@ -341,15 +341,19 @@ def _orbit_index(dim_in: int, j: int) -> tuple[np.ndarray, ...]:
 
     Returns, per flat index, the flat index of its sorted representative
     and a dense orbit id, plus, per orbit, its size and the flat index of
-    its representative.  Orbit ids follow the sorted slot tuples in
-    lexicographic order.  Only integer index data is cached, never tensor
-    values.
+    its representative.  An orbit id is the multi-index's position in the
+    packed degree-j block, reached by one successor gather per slot, in C
+    order.  Only integer index data is cached, never tensor values.
     """
-    dims = (dim_in,) * j
-    slots = np.indices(dims).reshape(j, dim_in**j)
-    slots.sort(axis=0)
-    rep = np.ravel_multi_index(tuple(slots), dims) if j else np.zeros(1, dtype=np.intp)
-    heads, orbit, sizes = np.unique(rep, return_inverse=True, return_counts=True)
+    orbit = np.zeros(1, dtype=np.int64)
+    for _ in range(j):
+        orbit = _successors(dim_in, j - 1).take(orbit, axis=0).ravel()
+    orbit -= _degree_starts(dim_in, j)[j]
+    sizes = np.bincount(orbit)
+    # a head (sorted slot tuple) is its orbit's least flat index, and ids follow
+    # the heads' order: in C order the running maximum id steps up at the heads
+    heads = np.maximum.accumulate(orbit).searchsorted(np.arange(sizes.size))
+    rep = heads.take(orbit)
     for arr in (rep, orbit, sizes, heads):
         arr.flags.writeable = False
     return rep, orbit, sizes, heads
@@ -369,10 +373,13 @@ def _pair_product(ap: np.ndarray, bq: np.ndarray, bilinear: np.ndarray | None) -
 # per slot orbit: the derivative d^alpha for each multi-index alpha with
 # |alpha| <= K.  Packed, it is one (dim_out, C(d+K, K)) array of those
 # entries, degree by degree (graded order); within degree j the multi-indices
-# follow the orbit ids of ``_orbit_index(d, j)``.  This is the truncated
-# polynomial ring in d variables, i.e. the truncated symmetric tensor
-# algebra, with each orbit stored once (Neidinger, Math. Comp. 74, 2005).
-# The order of degrees up to K is a prefix of the order up to K + 1.
+# follow their sorted slot tuples in lexicographic order (``_rank``).  This is
+# the truncated polynomial ring in d variables, i.e. the truncated symmetric
+# tensor algebra, with each orbit stored once (Neidinger, Math. Comp. 74,
+# 2005).  The order of degrees up to K is a prefix of the order up to K + 1.
+# ``_successors`` maps each multi-index alpha to the positions of alpha + e_i:
+# the dense index of a component (``_orbit_index``) is one gather through it
+# per slot, and ``operators.order_reduce`` one gather of a packed tower.
 # Kernels gather with ``ndarray.take`` along one axis, a plain copy loop;
 # fancy indexing (``x[:, ia]``, ``h[..., ib]``, above all on strided views)
 # takes numpy's general advanced-index path for the same values.
@@ -452,14 +459,37 @@ def _rank(exps: np.ndarray) -> np.ndarray:
     return table[deg + d - 1, d] + table[left + d - 2 - i, d - 1 - i].sum(axis=-1)
 
 
+# dim_in -> the exponents to the deepest order built
+_MONOMIALS = {}
+
+
 def _monomials(dim_in: int, order: int) -> np.ndarray:
-    """Exponents of every multi-index of degree <= ``order``, in packed order."""
-    blocks = [np.zeros((1, dim_in), dtype=np.int64)]
-    for _ in range(order):
-        grown = (blocks[-1][:, None, :] + np.eye(dim_in, dtype=np.int64)).reshape(-1, dim_in)
+    """Exponents of every multi-index of degree <= ``order``, in packed order.
+
+    The order up to K is a prefix of the order up to K + 1, so one read-only
+    table per ``dim_in``, grown a degree at a time, serves every order.
+    """
+    starts = _degree_starts(dim_in, order)
+    exps = _MONOMIALS.get(dim_in, np.zeros((1, dim_in), dtype=np.int64))
+    blocks = [exps]
+    for j in range(int(exps[-1].sum()), order):  # the last row is (0, .., 0, top degree)
+        top = blocks[-1][starts[j] - starts[j + 1]:]
+        grown = (top[:, None, :] + np.eye(dim_in, dtype=np.int64)).reshape(-1, dim_in)
         _, first = np.unique(_rank(grown), return_index=True)
         blocks.append(grown[first])
-    return np.concatenate(blocks)
+    if len(blocks) > 1:
+        exps = _MONOMIALS[dim_in] = np.concatenate(blocks)
+        exps.flags.writeable = False
+    return exps[:starts[-1]]
+
+
+@lru_cache(maxsize=None)
+def _successors(dim_in: int, order: int) -> np.ndarray:
+    """``[a, i]``: packed position of alpha + e_i, alpha at packed position a, |alpha| <= order."""
+    exps = _monomials(dim_in, order)
+    out = _rank(exps[:, None, :] + np.eye(dim_in, dtype=np.int64))
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,9 @@ directions produce the tower of the full composite.
 ``order_reduce`` reinterprets a tower one order down, turning the derivative
 itself into a program value: the first tensor slot of each component is
 fused into the output index, so component j+1 of the original becomes
-component j of the derivative program's tower.
+component j of the derivative program's tower.  Like ``compose_towers`` it
+reads the packed tower and returns its result packed: one gather through
+``multitensor._successors``, with no dense component in between.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ import numpy as np
 
 from .multitensor import (
     MultiTensor,
-    Shape,
     _nest_plan,
     _substitute,
+    _successors,
     _unpack,
     eval_polynomial,
 )
@@ -180,18 +182,15 @@ def order_reduce(t: DerivativeTower) -> DerivativeTower:
     Component j of the result is component j+1 of the input with the first
     tensor slot fused into the output index (C-order flattening), so the
     result is the tower, one order shallower, of the program
-    ``v -> derivative(v)`` with values in a ``dim_out*dim_in``-vector.
+    ``v -> derivative(v)`` with values in a ``dim_out*dim_in``-vector.  It is
+    one gather of the packed tower: entry beta of output ``i*dim_in + a`` is
+    the input's entry beta + e_a of output i.  The result is held packed.
     """
     if t.order < 1:
         raise ValueError("cannot reduce an order-0 tower")
-    d_out = t.tower.dim_out
-    d_in = t.tower.dim_in
-    comps = [
-        t.tower.components[j + 1].reshape((d_out * d_in,) + (d_in,) * j)
-        for j in range(t.order)
-    ]
-    tower = MultiTensor(Shape(d_out * d_in, d_in, t.order - 1), comps)
-    return DerivativeTower(at=t.at, tower=tower)
+    d, packed = t.at.size, t._packed()
+    out = packed.take(_successors(d, t.order - 1).T, axis=1)
+    return DerivativeTower._from_packed(t.at, out.reshape(-1, out.shape[-1]), t.order - 1)
 
 
 def differentiable_derivative(program: Program, k: int) -> Program:

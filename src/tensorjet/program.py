@@ -18,13 +18,14 @@ Inside the walk a tower is packed: a symmetric tower stores each slot orbit
 once, as the derivative d^alpha for each multi-index alpha of degree <=
 order (the truncated polynomial ring; Neidinger, Math. Comp. 74, 2005), so
 every tower is exactly symmetric by construction.  ``derivative_tower``
-unpacks the root's tower to dense components once, at the end; product,
-polynomial-layer and extracted-derivative nodes apply the dense operators of
-``multitensor`` and ``operators`` and convert at their boundary.  A
-``DerivativeTower`` holds either form and builds the other once, when first
-asked, so a composition whose outer stage is not elementwise hands its
-children's packed towers to ``operators.compose_towers`` and takes back the
-packed result, converting nothing.
+unpacks the root's tower to dense components once, at the end; product and
+polynomial-layer nodes apply the dense operators of ``multitensor`` and
+convert at their boundary.  A ``DerivativeTower`` holds either form and
+builds the other once, when first asked, so a composition whose outer stage
+is not elementwise hands its children's packed towers to
+``operators.compose_towers``, and an extracted derivative its inner's tower
+to ``operators.order_reduce``; each takes back the packed result, converting
+nothing.
 
 A jet pushes a truncated Taylor series through the DAG instead (Griewank,
 Utke & Walther, Math. Comp. 69, 2000; Bettencourt, Johnson & Duvenaud,
@@ -376,7 +377,8 @@ def derivative_tower(program: Program, v, order: int) -> DerivativeTower:
 
     ``order`` is at most 63, checked before the walk: component j is an array
     with j + 1 axes.  Jets have no such limit, but an extracted derivative of
-    order k needs its inner's dense tower at order K + k, so it stops at 63 - k.
+    order k walks its inner at order K + k, and that walk can reach the dense
+    product and layer rules, so it stops at 63 - k.
     """
     v = _tower_input(program, v, order)
     return DerivativeTower(at=v, tower=_unpack(_walk(program, v, order), program.dim_in, order))

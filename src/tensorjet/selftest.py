@@ -126,11 +126,14 @@ def _check_composer_second_derivative():
 
 
 def _check_order_reduce():
-    p = Compose(Elementwise(integer_power(3)), Identity(1))
-    t = derivative_tower(p, [2.0], 3)
+    # two inputs and two outputs whose Jacobian is not symmetric, so output
+    # i * 2 + a of the reduced tower is told apart from output a * 2 + i
+    p = Compose(Elementwise(integer_power(3), 2), Affine([[1.0, 2.0], [3.0, -1.0]], [0.5, -0.25]))
+    t = derivative_tower(p, [2.0, 1.0], 3)
     reduced = order_reduce(t)
-    np.testing.assert_array_equal(reduced.component(0), t.component(1).reshape(1))
-    np.testing.assert_array_equal(reduced.component(1), t.component(2).reshape(1, 1))
+    for j in range(3):
+        want = t.component(j + 1).reshape((4,) + (2,) * j)
+        np.testing.assert_array_equal(reduced.component(j), want)
 
 
 def _check_taylor():

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from tensorjet import (
+    ExtractedDerivative,
     find_fixed_point,
     fractional_iterate,
     iterating_velocity,
     schroeder,
 )
+from tensorjet import program as program_module
 from tensorjet.cli import main
 from tensorjet.sexpr import MAX_NESTING, parse
 
@@ -401,6 +403,21 @@ class TestCleanFailures:
                                     "--at", "[0.1]", "--order", "64", "--mode", mode)
             assert (got, out) == (2, "")
             assert err.startswith("tensorjet: order 64 is above 63") and err.count("\n") == 1
+
+    def test_out_of_memory_is_one_line_and_exit_2(self, capsys, tmp_path, monkeypatch):
+        # the rule raises what numpy raises for an array it cannot allocate, allocating nothing
+        def out_of_memory(p, v, k, path):
+            raise MemoryError("Unable to allocate 2.67 GiB for an array with shape "
+                              "(59049, 3, 2024) and data type float64")
+
+        monkeypatch.setitem(program_module._RULES, ExtractedDerivative, (out_of_memory,) * 3)
+        f = tmp_path / "d30.sexp"
+        f.write_text("(deriv (elem sin 3) 30)")
+        got, out, err = run_cli(capsys, "tau", "--program", str(f),
+                                "--at", "[0.1,0.2,0.3]", "--order", "1")
+        assert (got, out) == (2, "")
+        assert err == ("tensorjet: out of memory: Unable to allocate 2.67 GiB for an array "
+                       "with shape (59049, 3, 2024) and data type float64\n")
 
     def test_stdout_closed_by_its_reader_is_one_line_and_exit_1(self, tmp_path):
         f = tmp_path / "sin.sexp"

@@ -751,6 +751,61 @@ class TestOrderReduction:
             assert np.array_equal(reduced.component(j), want)
 
 
+def _reduce_dense(tower):
+    """Component j + 1 with its first slot fused into the output index: a reference."""
+    rows, d = tower.dim_out * tower.dim_in, tower.dim_in
+    return MultiTensor(Shape(rows, d, tower.order - 1),
+                       [tower.components[j + 1].reshape((rows,) + (d,) * j)
+                        for j in range(tower.order)])
+
+
+def _bits(tower):
+    return [c.tobytes() for c in tower.components]
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return call
+
+
+class TestOrderReducePackedGather:
+    """``order_reduce`` gathers the packed tower: the bits of the dense reshape, no conversion."""
+
+    @staticmethod
+    def _program(rng, d):
+        # a product of a run of elementwise stages and a layer, over random programs
+        mid = int(rng.integers(1, 4))
+        sin, tanh = get_primitive("sin"), get_primitive("tanh")
+        run = Compose(Elementwise(sin, mid),
+                      Compose(Elementwise(tanh, mid), random_program(rng, d, mid, 2)))
+        layer = Compose(ContractionLayer(random_multitensor(rng, mid, mid, 2)),
+                        random_program(rng, d, mid, 2))
+        return Product((run, layer))
+
+    def test_one_to_three_reductions_are_the_dense_reshape_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(277)
+        for _ in range(40):
+            d, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            p = self._program(rng, d)
+            v = rng.uniform(-0.5, 0.5, size=d)
+            dense = derivative_tower(p, v, k)
+            packed = DerivativeTower._from_packed(v, program_module._walk(p, v, k), k)
+            towers = {"dense": DerivativeTower(v, dense.tower), "packed": packed}
+            want = dense.tower
+            for _ in range(int(rng.integers(1, min(3, k) + 1))):
+                want = _reduce_dense(want)
+                with monkeypatch.context() as m:
+                    m.setattr(program_module, "_unpack", _forbidden("_unpack"))
+                    m.setattr(operators_module, "_unpack", _forbidden("_unpack"))
+                    m.setattr(program_module, "_pack", _forbidden("_pack"))
+                    towers["packed"] = order_reduce(towers["packed"])
+                towers["dense"] = order_reduce(towers["dense"])
+                for t in towers.values():
+                    assert t.tower.shape == want.shape
+                    assert _bits(t.tower) == _bits(want)
+
+
 class TestDifferentiableDerivative:
     def test_sine_derivative_is_cosine(self):
         dsin = differentiable_derivative(Elementwise(get_primitive("sin")), 1)

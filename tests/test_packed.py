@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,50 @@ def test_packed_order_is_the_orbit_order_and_round_trips(d):
     packed = _pack(tower.components, d)
     assert packed.shape == (2, math.comb(d + k, k))
     assert _bits(_unpack(packed, d, k)) == _bits(tower)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_monomials_grown_from_a_shallower_table_equal_one_built_at_once(d, monkeypatch):
+    monkeypatch.setattr(multitensor, "_MONOMIALS", {})
+    at_once = _monomials(d, 7).copy()
+    monkeypatch.setattr(multitensor, "_MONOMIALS", {})
+    for k in (0, 2, 1, 5, 7, 3):
+        exps = _monomials(d, k)
+        assert np.array_equal(exps, at_once[:math.comb(d + k, k)])
+    assert not exps.flags.writeable
+
+
+def _orbit_index_by_sorting(dim_in, j):
+    """The orbit index by sorting every slot tuple and ``np.unique``: a reference."""
+    dims = (dim_in,) * j
+    slots = np.indices(dims).reshape(j, dim_in**j)
+    slots.sort(axis=0)
+    rep = np.ravel_multi_index(tuple(slots), dims) if j else np.zeros(1, dtype=np.intp)
+    heads, orbit, sizes = np.unique(rep, return_inverse=True, return_counts=True)
+    return rep, orbit, sizes, heads
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_orbit_index_by_successor_gathers_equals_sorting(d):
+    # every j with d**j <= 10**6; for d = 1, j to 12.  The uncached build keeps
+    # the large indices out of the cache.
+    j = 0
+    while d**j <= 10**6 and (d > 1 or j <= 12):
+        got, want = _orbit_index.__wrapped__(d, j), _orbit_index_by_sorting(d, j)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), (d, j)
+        j += 1
+
+
+def test_orbit_index_peak_allocation_is_a_few_index_arrays():
+    # an uncached build; the sort-and-unique one peaked at 13.1 index arrays of 6**7 int64
+    tracemalloc.start()
+    try:
+        _orbit_index.__wrapped__(6, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 6**7 * 8
 
 
 POINTS = [0.0, -0.0, 0.5, -1.3, 3.0, 1e-200, -1e-300, 1e300, -1e300, 710.0, 1e-320,

@@ -328,7 +328,7 @@ class TestPackedDenseBoundary:
         inner = Compose(Elementwise(sin, 2), Affine([[0.7, -0.2], [0.3, 0.5]], [0.1, -0.1]))
         for p, want in ((Product((inner, Affine([[0.2, 0.1], [0.5, -0.3]], [0.0, 0.1]))),
                          {"_pack": 1, "_unpack": 3}),
-                        (ExtractedDerivative(inner, 1), {"_pack": 1, "_unpack": 2})):
+                        (ExtractedDerivative(inner, 1), {"_pack": 0, "_unpack": 1})):
             conversions.update(_pack=0, _unpack=0)
             derivative_tower(p, [0.3, 0.1], 3).tower
             assert conversions == want
